@@ -15,14 +15,12 @@
 //	                  struct fields
 //	hotpathalloc    — no heap allocations or map ranges on the forward
 //	                  closure of the dispatch/charge/trace/fault fast paths
-//	smpready        — SMP locking discipline in mach/sim/vmm: shared state
-//	                  reachable from multiple vCPU entry points is mutexed,
-//	                  and every entry-group writer actually takes the lock
+//	smpready        — no written package-level variables in mach/sim/vmm
 //	worldcharge     — outside internal/sim, no deprecated World.Charge*
 //	                  forwarders: charges go through an explicit sim.VCPU
 //
-// The last three are built on a whole-module interprocedural dataflow engine
-// (call graph + per-function summaries); see DESIGN.md.
+// plaintextflow and hotpathalloc are built on a whole-module interprocedural
+// dataflow engine (call graph + per-function summaries); see DESIGN.md.
 //
 // Usage:
 //

@@ -77,8 +77,8 @@ func TestHotPathAllocProfilerRoots(t *testing.T) {
 		"overshadow/internal/obs", "testdata/src/profhot")
 }
 
-// TestSMPReadyAnalyzer loads a vmm-shaped package with entry-group roots by
-// name; the mutex-bearing struct and the single-group struct must pass.
+// TestSMPReadyAnalyzer loads a vmm-shaped package: written package-level
+// vars are findings, read-only vars and struct fields are not.
 func TestSMPReadyAnalyzer(t *testing.T) {
 	runWantTest(t, SMPReadyAnalyzer,
 		"overshadow/internal/vmm", "testdata/src/smpready")

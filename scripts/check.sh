@@ -8,13 +8,14 @@
 #              errnodiscipline, iagoflow, cyclecharge, plaintextflow,
 #              hotpathalloc, smpready, worldcharge) — see DESIGN.md; also
 #              emits a JSON
-#              findings artifact and pins the smpready shared-state
+#              findings artifact and pins the smpready package-state
 #              inventory
 #   build      everything compiles
 #   tests      full suite
 #   race       race detector over the concurrent packages (guest kernel
 #              goroutines + end-to-end scenarios), including the SMP
-#              interleaving tests at 4 vCPUs
+#              interleaving tests at 4 vCPUs: the check that the scheduler
+#              baton serializes all of a machine's state
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -42,16 +43,16 @@ artifact="${OVERLINT_JSON:-overlint-findings.json}"
 go run ./cmd/overlint -json ./... > "$artifact"
 echo "overlint findings artifact: $artifact"
 
-# smpready inventory pin: every piece of shared mutable state the analyzer
-# flags carries an //overlint:allow with its SMP serialization argument.
-# The SMP refactor landed locks or per-vCPU replication for every one of the
-# original 9 sites, so the inventory is pinned at zero: any new allow means
-# new shared state, which takes a deliberate, reviewed bump of this pin.
+# smpready inventory pin: a written package-level variable in mach/sim/vmm
+# is state shared by every machine in the process. The inventory is pinned
+# at zero: any new allow means new shared state, which takes a deliberate,
+# reviewed bump of this pin. State owned by one machine is serialized by the
+# scheduler baton instead, and the race pass below checks that.
 smp_allows=$(grep -rn "overlint:allow smpready" --include="*.go" internal | grep -cv testdata || true)
 max_smp_allows=0
 if [ "$smp_allows" -gt "$max_smp_allows" ]; then
     echo "smpready inventory grew: $smp_allows allow directives (pinned at $max_smp_allows)" >&2
-    echo "new shared mutable state in mach/sim/vmm needs a serialization story before SMP" >&2
+    echo "new package-level mutable state in mach/sim/vmm belongs on a World, VMM or vCPU" >&2
     exit 1
 fi
 echo "smpready inventory: $smp_allows/$max_smp_allows allow directives"
