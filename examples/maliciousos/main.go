@@ -11,6 +11,7 @@ import (
 
 	"overshadow"
 	"overshadow/internal/guestos"
+	"overshadow/internal/sim"
 	"overshadow/internal/vmm"
 )
 
@@ -149,5 +150,5 @@ func swapAttack() {
 	fmt.Printf("kernel flipped bits in %d swapped-in page(s)\n", flips)
 	fmt.Printf("victim finished with corrupted data: %v\n", finished)
 	fmt.Printf("verification failures recorded: %d\n",
-		sys.Stats().Get("cloak.verify.fail"))
+		sys.Stats().Get(sim.CtrHashVerifyFail))
 }

@@ -9,6 +9,7 @@ import (
 
 	"overshadow"
 	"overshadow/internal/guestos"
+	"overshadow/internal/sim"
 	"overshadow/internal/vmm"
 )
 
@@ -55,6 +56,6 @@ func main() {
 	}
 	fmt.Printf("simulated time: %v; encryptions: %d, decryptions: %d\n",
 		sys.Now(),
-		sys.Stats().Get("cloak.encrypt"),
-		sys.Stats().Get("cloak.decrypt"))
+		sys.Stats().Get(sim.CtrPageEncrypt),
+		sys.Stats().Get(sim.CtrPageDecrypt))
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"overshadow"
+	"overshadow/internal/sim"
 )
 
 func main() {
@@ -83,6 +84,6 @@ func main() {
 		fmt.Println("    ordinary calls; the shim's mmap emulation did the rest.")
 	}
 	fmt.Printf("\nshim-emulated I/O ops: %d, marshalled bytes: %d\n",
-		sys.Stats().Get("shim.syscall"),
-		sys.Stats().Get("shim.marshal.bytes"))
+		sys.Stats().Get(sim.CtrShimSyscall),
+		sys.Stats().Get(sim.CtrShimMarshalBytes))
 }

@@ -245,7 +245,11 @@ func RunE1(opts Options) *Table {
 // hypercalls), or mem+tlb (raw memory movement and TLB churn). Everything
 // else lands in the "other" remainder column.
 func e2Component(name string) int {
-	switch sim.Counter(name) {
+	ctr, ok := sim.CounterByName(name)
+	if !ok {
+		return 4
+	}
+	switch ctr {
 	case sim.CtrPageEncrypt, sim.CtrPageDecrypt, sim.CtrHashCompute, sim.CtrMetaCacheMiss:
 		return 1
 	case sim.CtrCTCSave, sim.CtrCTCRestore, sim.CtrWorldSwitch, sim.CtrTrap, sim.CtrHypercall:

@@ -5,19 +5,16 @@
 // The simulated machine executes exactly one vCPU context at a time (the
 // guest scheduler hands off a baton), and with VCPUs > 1 the interleaving of
 // those contexts is drawn from a seeded schedule, so simulated time is a
-// single totally-ordered cycle stream for any vCPU count. The shared types in
-// this package are nonetheless mutex-guarded: the baton already serializes
-// execution, and the locks make that serialization visible to the race
-// detector and to the smpready analyzer. All performance results reported by
-// the benchmark harness are expressed in simulated cycles drawn from this
-// clock, which makes experiment shapes reproducible run-to-run and
-// independent of host hardware.
+// single totally-ordered cycle stream for any vCPU count. The types in this
+// package carry no locks: only the baton holder touches a machine's state,
+// and baton handoff is a channel operation, which gives the race detector
+// its happens-before edge from one holder to the next. All performance
+// results reported by the benchmark harness are expressed in simulated
+// cycles drawn from this clock, which makes experiment shapes reproducible
+// run-to-run and independent of host hardware.
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Cycles is a quantity of simulated CPU cycles.
 type Cycles uint64
@@ -41,7 +38,6 @@ func (c Cycles) String() string {
 // A clock may carry a crash deadline: the first charge that reaches it stops
 // the whole machine at exactly that cycle (see SetCrashAt).
 type Clock struct {
-	mu      sync.Mutex
 	now     Cycles
 	crashAt Cycles
 	armed   bool
@@ -52,21 +48,14 @@ type Clock struct {
 func NewClock() *Clock { return &Clock{} }
 
 // Now reports the current simulated time.
-func (c *Clock) Now() Cycles {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *Clock) Now() Cycles { return c.now }
 
-// advance is the locked core of Advance: it moves time forward by n cycles,
+// advance is the core of Advance: it moves time forward by n cycles,
 // clamping at an armed crash deadline, and returns the cycles actually
 // applied plus the deadline state. It never panics itself — callers raise the
-// Crash outside the lock, after crediting the applied cycles to the charging
-// vCPU, so per-vCPU cycle counters keep summing exactly to the clock even
-// across a crash.
+// Crash after crediting the applied cycles to the charging vCPU, so per-vCPU
+// cycle counters keep summing exactly to the clock even across a crash.
 func (c *Clock) advance(n Cycles) (applied, at Cycles, crashed bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.armed && c.now+n >= c.crashAt {
 		applied = c.crashAt - c.now
 		c.now = c.crashAt
@@ -93,8 +82,6 @@ func (c *Clock) Advance(n Cycles) {
 // already in the past fires on the next charge (time still clamps forward,
 // never backward). Passing 0 disarms.
 func (c *Clock) SetCrashAt(at Cycles) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if at == 0 {
 		c.armed = false
 		return
@@ -107,11 +94,7 @@ func (c *Clock) SetCrashAt(at Cycles) {
 }
 
 // Crashed reports whether an armed deadline fired.
-func (c *Clock) Crashed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.crashed
-}
+func (c *Clock) Crashed() bool { return c.crashed }
 
 // Crash is the panic value carrying a fired crash deadline. It exists so
 // the kernel scheduler can distinguish a deliberate whole-machine stop from
@@ -129,8 +112,6 @@ func IsCrash(r any) bool {
 
 // Since reports the cycles elapsed since an earlier reading.
 func (c *Clock) Since(t Cycles) Cycles {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.now < t {
 		return 0
 	}

@@ -1,19 +1,13 @@
 package sim
 
-import (
-	"sync"
-
-	"overshadow/internal/obs"
-)
+import "overshadow/internal/obs"
 
 // Tracer is a fixed-capacity ring buffer of structured spans (obs.Span). It
 // is disabled by default: emission costs one branch until EnableTrace is
 // called, so production runs pay nothing for the instrumentation points
-// sprinkled through the VMM and guest kernel. The mutex serializes ring
-// writes across vCPU contexts; spans land in the global ring in execution
-// order, which the baton already makes total.
+// sprinkled through the VMM and guest kernel. Spans land in the global ring
+// in execution order, which the baton makes total across vCPU contexts.
 type Tracer struct {
-	mu      sync.Mutex
 	enabled bool
 	cap     int
 	buf     []obs.Span
@@ -24,30 +18,12 @@ type Tracer struct {
 // Wrapped reports whether the ring filled and began overwriting, i.e.
 // whether the exported trace is truncated.
 func (t *Tracer) Wrapped() bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.wrappedLocked()
-}
-
-func (t *Tracer) wrappedLocked() bool {
-	return len(t.buf) == t.cap && t.total > uint64(t.cap)
+	return t != nil && len(t.buf) == t.cap && t.total > uint64(t.cap)
 }
 
 // Dropped reports how many spans were overwritten after the ring wrapped.
 func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.droppedLocked()
-}
-
-func (t *Tracer) droppedLocked() uint64 {
-	if !t.wrappedLocked() {
+	if !t.Wrapped() {
 		return 0
 	}
 	return t.total - uint64(t.cap)
@@ -55,7 +31,6 @@ func (t *Tracer) droppedLocked() uint64 {
 
 // record appends a span, overwriting the oldest entry once full.
 func (t *Tracer) record(s obs.Span) {
-	t.mu.Lock()
 	if len(t.buf) < t.cap {
 		t.buf = append(t.buf, s)
 	} else {
@@ -63,7 +38,6 @@ func (t *Tracer) record(s obs.Span) {
 		t.next = (t.next + 1) % t.cap
 	}
 	t.total++
-	t.mu.Unlock()
 }
 
 // EnableTrace turns on tracing with a ring of the given capacity.
@@ -182,8 +156,6 @@ func (w *World) TraceSpans() ([]obs.Span, obs.RingStats) {
 	if t == nil {
 		return nil, obs.RingStats{}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make([]obs.Span, 0, len(t.buf))
 	if len(t.buf) == t.cap {
 		out = append(out, t.buf[t.next:]...)
@@ -191,5 +163,5 @@ func (w *World) TraceSpans() ([]obs.Span, obs.RingStats) {
 	} else {
 		out = append(out, t.buf...)
 	}
-	return out, obs.RingStats{Total: t.total, Dropped: t.droppedLocked(), Wrapped: t.wrappedLocked()}
+	return out, obs.RingStats{Total: t.total, Dropped: t.Dropped(), Wrapped: t.Wrapped()}
 }

@@ -162,7 +162,7 @@ func TestAttributedChargesBucketPerTask(t *testing.T) {
 	for _, nt := range m.TotalsSorted() {
 		totals[nt.Name] = nt.Cycles
 	}
-	if totals[string(CtrSyscall)] != 400 || totals[string(CtrMemAccess)] != 50 || totals[string(CtrOther)] != 7 {
+	if totals[CtrSyscall.String()] != 400 || totals[CtrMemAccess.String()] != 50 || totals[CtrOther.String()] != 7 {
 		t.Fatalf("totals = %v", totals)
 	}
 	snap := m.Snapshot()

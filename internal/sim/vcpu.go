@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"sync"
-
 	"overshadow/internal/fault"
 	"overshadow/internal/obs"
 )
@@ -16,8 +14,9 @@ import (
 // Exactly one vCPU executes at any simulated instant (the guest scheduler's
 // baton enforces it), so the global clock only ever advances on behalf of the
 // running vCPU and the per-vCPU cycle counters sum exactly to the clock. The
-// mutex guards the mutable fields for the race detector's benefit; it is
-// never contended.
+// same baton serializes every access to the mutable fields: only its holder
+// touches them, and the handoff is a channel operation the race detector
+// sees.
 type VCPU struct {
 	id int
 	w  *World
@@ -27,7 +26,6 @@ type VCPU struct {
 	// vCPU i > 0 draws a stream derived from the world seed and i.
 	RNG *RNG
 
-	mu sync.Mutex
 	// attr identifies the guest task this vCPU is running; charges and spans
 	// are attributed to it. The guest scheduler and the shim keep it current
 	// (see SetTask).
@@ -47,11 +45,7 @@ func (c *VCPU) Now() Cycles { return c.w.Clock.Now() }
 
 // Cycles reports the simulated time this vCPU has charged so far. Summed
 // over all vCPUs it equals the clock exactly, including across a crash.
-func (c *VCPU) Cycles() Cycles {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cycles
-}
+func (c *VCPU) Cycles() Cycles { return c.cycles }
 
 // chargeClock advances the global clock by n on this vCPU's behalf, crediting
 // the applied cycles to the per-vCPU counter. When an armed crash deadline
@@ -61,9 +55,7 @@ func (c *VCPU) Cycles() Cycles {
 // before any counter or metrics attribution.
 func (c *VCPU) chargeClock(n Cycles) {
 	applied, at, crashed := c.w.Clock.advance(n)
-	c.mu.Lock()
 	c.cycles += applied
-	c.mu.Unlock()
 	if crashed {
 		panic(Crash{At: at})
 	}
@@ -76,10 +68,10 @@ func (c *VCPU) Charge(n Cycles) {
 	c.chargeClock(n)
 	w := c.w
 	if w.Metrics != nil {
-		w.Metrics.Charge(c.attr, string(CtrOther), uint64(n), 0)
+		w.Metrics.Charge(c.attr, CtrOther.String(), uint64(n), 0)
 	}
 	if w.prof != nil {
-		w.profLeaf(string(CtrOther), uint64(n))
+		w.profLeaf(CtrOther.String(), uint64(n))
 	}
 }
 
@@ -90,10 +82,10 @@ func (c *VCPU) ChargeCount(n Cycles, ctr Counter) {
 	w := c.w
 	w.Stats.Inc(ctr)
 	if w.Metrics != nil {
-		w.Metrics.Charge(c.attr, string(ctr), uint64(n), 1)
+		w.Metrics.Charge(c.attr, ctr.String(), uint64(n), 1)
 	}
 	if w.prof != nil {
-		w.profLeaf(string(ctr), uint64(n))
+		w.profLeaf(ctr.String(), uint64(n))
 	}
 }
 
@@ -107,10 +99,10 @@ func (c *VCPU) ChargeAdd(n Cycles, ctr Counter, events uint64) {
 		w.Stats.Add(ctr, events)
 	}
 	if w.Metrics != nil {
-		w.Metrics.Charge(c.attr, string(ctr), uint64(n), events)
+		w.Metrics.Charge(c.attr, ctr.String(), uint64(n), events)
 	}
 	if w.prof != nil {
-		w.profLeaf(string(ctr), uint64(n))
+		w.profLeaf(ctr.String(), uint64(n))
 	}
 }
 
@@ -144,38 +136,20 @@ func (c *VCPU) SetTask(pid, tid int, name string, domain uint32, cloaked bool) {
 	if w.prof != nil {
 		w.profDispatch(tid)
 	}
-	c.mu.Lock()
 	c.attr = obs.Attr{
 		PID: pid, TID: tid, Task: name,
 		Domain: domain, Cloaked: cloaked,
 		Phase: c.attr.Phase,
 	}
-	c.mu.Unlock()
 }
 
 // SetTaskDomain updates the cloaking domain of the current task (the shim
 // learns the domain only after its first hypercall, mid-run).
-func (c *VCPU) SetTaskDomain(domain uint32) {
-	c.mu.Lock()
-	a := c.attr
-	a.Domain = domain
-	c.attr = a
-	c.mu.Unlock()
-}
+func (c *VCPU) SetTaskDomain(domain uint32) { c.attr.Domain = domain }
 
 // setPhase relabels this vCPU's attribution phase; the World applies it to
 // every vCPU (see World.SetPhase).
-func (c *VCPU) setPhase(phase string) {
-	c.mu.Lock()
-	a := c.attr
-	a.Phase = phase
-	c.attr = a
-	c.mu.Unlock()
-}
+func (c *VCPU) setPhase(phase string) { c.attr.Phase = phase }
 
 // Attr returns this vCPU's current attribution context.
-func (c *VCPU) Attr() obs.Attr {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.attr
-}
+func (c *VCPU) Attr() obs.Attr { return c.attr }
