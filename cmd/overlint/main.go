@@ -16,8 +16,6 @@
 //	hotpathalloc    — no heap allocations or map ranges on the forward
 //	                  closure of the dispatch/charge/trace/fault fast paths
 //	smpready        — no written package-level variables in mach/sim/vmm
-//	worldcharge     — outside internal/sim, no deprecated World.Charge*
-//	                  forwarders: charges go through an explicit sim.VCPU
 //
 // plaintextflow and hotpathalloc are built on a whole-module interprocedural
 // dataflow engine (call graph + per-function summaries); see DESIGN.md.

@@ -89,14 +89,6 @@ func TestCycleChargeAnalyzer(t *testing.T) {
 		"overshadow/internal/vmm", "testdata/src/cyclecharge")
 }
 
-// TestWorldChargeAnalyzer loads a vmm-shaped package calling both the
-// deprecated World.Charge* forwarders (findings) and the per-vCPU
-// replacements (silent).
-func TestWorldChargeAnalyzer(t *testing.T) {
-	runWantTest(t, WorldChargeAnalyzer,
-		"overshadow/internal/vmm", "testdata/src/worldcharge")
-}
-
 // TestAnalyzerGatesOtherPackages checks the package-path gates: the same
 // testdata loaded under an unchecked import path must produce no findings.
 func TestAnalyzerGatesOtherPackages(t *testing.T) {

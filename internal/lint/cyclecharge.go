@@ -14,7 +14,7 @@ import (
 // The check builds a static call graph over the whole module and flags
 // exported functions declared in internal/vmm or internal/guestos that can
 // reach a raw memory primitive ((*mach.Memory).Page / Zero) without any
-// path-insensitive evidence of charging ((*sim.World).Charge/ChargeCount/
+// path-insensitive evidence of charging ((*sim.VCPU).Charge/ChargeCount/
 // ChargeAdd or (*sim.Clock).Advance). Calls into the observability surface
 // (internal/obs; the sim span/attribution methods) are pruned from the
 // graph: they are charge-free observers, so tracing an operation is never
@@ -154,16 +154,11 @@ func isMemoryPrimitive(obj types.Object) bool {
 		objIs(obj, "overshadow/internal/mach", "Memory", "Zero")
 }
 
-// isChargePrimitive reports whether obj advances the simulated clock. The
-// per-vCPU methods are the real primitives; the World methods are the
-// one-release deprecation forwarders onto the boot vCPU and still count.
+// isChargePrimitive reports whether obj advances the simulated clock.
 func isChargePrimitive(obj types.Object) bool {
 	return objIs(obj, "overshadow/internal/sim", "VCPU", "Charge") ||
 		objIs(obj, "overshadow/internal/sim", "VCPU", "ChargeCount") ||
 		objIs(obj, "overshadow/internal/sim", "VCPU", "ChargeAdd") ||
-		objIs(obj, "overshadow/internal/sim", "World", "Charge") ||
-		objIs(obj, "overshadow/internal/sim", "World", "ChargeCount") ||
-		objIs(obj, "overshadow/internal/sim", "World", "ChargeAdd") ||
 		objIs(obj, "overshadow/internal/sim", "Clock", "Advance")
 }
 

@@ -173,7 +173,7 @@ func TestRNGBytesFills(t *testing.T) {
 
 func TestWorldChargeCount(t *testing.T) {
 	w := NewWorld(DefaultCostModel(), 1)
-	w.ChargeCount(100, CtrHypercall)
+	w.Boot().ChargeCount(100, CtrHypercall)
 	if w.Now() != 100 {
 		t.Fatalf("clock = %d, want 100", w.Now())
 	}

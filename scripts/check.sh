@@ -6,9 +6,8 @@
 #   go vet     compiler-adjacent checks
 #   overlint   domain invariants (determinism, cloakboundary,
 #              errnodiscipline, iagoflow, cyclecharge, plaintextflow,
-#              hotpathalloc, smpready, worldcharge) — see DESIGN.md; also
-#              emits a JSON
-#              findings artifact and pins the smpready package-state
+#              hotpathalloc, smpready) — see DESIGN.md; also emits a
+#              JSON findings artifact and pins the smpready package-state
 #              inventory
 #   build      everything compiles
 #   tests      full suite
