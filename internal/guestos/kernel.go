@@ -209,9 +209,13 @@ func (k *Kernel) Run() {
 		if sim.IsCrash(k.panicked) {
 			// Whole-machine crash: the world stopped at an exact cycle. This
 			// is a deliberate simulation event, not a bug — the machine
-			// simply ends with its disks frozen as-is. Parked process
-			// goroutines stay blocked on their batons until the Kernel is
-			// garbage collected; nothing ever sends to them again.
+			// simply ends with its disks frozen as-is. Only the goroutine
+			// that took the Crash unwinds: its deferred recover in
+			// startProcGoroutine records it and returns. Every other task
+			// goroutine stays blocked on its baton for the life of the host
+			// process, since nothing sends to it again and Go never
+			// collects a blocked goroutine: one goroutine per task parked
+			// at the crash.
 			k.crashed = true
 			k.panicked = nil
 			return
