@@ -75,135 +75,82 @@ go test -race ./internal/guestos/... ./internal/core/... ./internal/vmm/ ./inter
 go test -race ./internal/harness/ -run 'TestE17|TestE16'
 
 echo "== shard determinism"
-# Sharding may change wall time only: the quick suite's JSON must be
-# byte-identical between a serial and a 4-way sharded run, on two seeds.
+# Sharding may change wall time only: every row's JSON must be byte-identical
+# between a serial and a 4-way sharded run, at each of its seeds. Columns:
+# gate | experiments (empty: the whole quick suite) | seeds | extra overbench
+# flags | "profile" if the row also writes the sim-time profile artifact,
+# which must match too and render through overprof.
+#   suite      the quick suite (E1-E14, E16, E17); its serial runs are the
+#              VCPUs=1 goldens checked below. It covers E16's migration
+#              sweep, whose capture points and transfer faults derive from
+#              (seed, probe).
+#   vcpus4     the 4-vCPU machine: the seeded interleaving is its only
+#              schedule source
+#   fault      E13: the injected fault schedule is part of the machine
+#   profile    E2: per-world profiles merge additively and every export sorts
+#   crash      E14: a (seed, crash point) pair names one exact crashed world
+#   adversary  E17: attack schedules derive from (seed, plan name)
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 go build -o "$tmpdir/overbench" ./cmd/overbench
-for s in 1 42; do
-    "$tmpdir/overbench" -seed "$s" -shards 1 -json > "$tmpdir/serial-$s.json"
-    "$tmpdir/overbench" -seed "$s" -shards 4 -json > "$tmpdir/sharded-$s.json"
-    if ! cmp -s "$tmpdir/serial-$s.json" "$tmpdir/sharded-$s.json"; then
-        echo "shard determinism broken: seed $s output differs between -shards 1 and -shards 4" >&2
-        diff "$tmpdir/serial-$s.json" "$tmpdir/sharded-$s.json" | head -20 >&2
-        exit 1
-    fi
-done
+while IFS='|' read -r gate exps seeds flags artifact; do
+    for s in $seeds; do
+        for shards in 1 4; do
+            out="$tmpdir/$gate-$s-shards$shards"
+            # $flags is split into words on purpose.
+            set -- ${exps:+-e "$exps"} $flags
+            if [ "$artifact" = profile ]; then
+                set -- "$@" -profile "$out.profile"
+            fi
+            if ! "$tmpdir/overbench" -seed "$s" -shards "$shards" -json "$@" > "$out.json" 2> "$out.err"; then
+                cat "$out.err" >&2
+                exit 1
+            fi
+        done
+        for f in json profile; do
+            a="$tmpdir/$gate-$s-shards1.$f"
+            b="$tmpdir/$gate-$s-shards4.$f"
+            [ -f "$a" ] || continue
+            if ! cmp -s "$a" "$b"; then
+                echo "$gate determinism broken: seed $s $f differs between -shards 1 and -shards 4" >&2
+                diff "$a" "$b" | head -20 >&2
+                exit 1
+            fi
+        done
+        if [ "$artifact" = profile ]; then
+            go run ./cmd/overprof "$tmpdir/$gate-$s-shards1.profile" > /dev/null
+        fi
+    done
+    echo "$gate: seeds $seeds shard-independent"
+done <<'ROWS'
+suite||1 42||
+vcpus4||1 42|-vcpus 4|
+fault|E13|3 11||
+profile|E2|3 11||profile
+crash|E14|5 9||
+adversary|E17|1 23||
+ROWS
 
 echo "== vcpus determinism"
 # The N=1 compatibility contract: -vcpus 1 (the default) is the serialized
 # machine, so the quick suite's JSON must be byte-identical to the pinned
 # goldens in scripts/goldens/ (see its README for the regeneration log), on
-# two seeds. The serial runs above are exactly that machine — compare them.
+# two seeds. The serial suite runs above are exactly that machine. A 4-vCPU
+# machine must also be deterministic per seed: a second serial run must
+# match the first.
 for s in 1 42; do
-    if ! cmp -s "scripts/goldens/vcpus1-seed$s.json" "$tmpdir/serial-$s.json"; then
+    if ! cmp -s "scripts/goldens/vcpus1-seed$s.json" "$tmpdir/suite-$s-shards1.json"; then
         echo "VCPUs=1 golden broken: seed $s output differs from scripts/goldens/vcpus1-seed$s.json" >&2
-        diff "scripts/goldens/vcpus1-seed$s.json" "$tmpdir/serial-$s.json" | head -20 >&2
+        diff "scripts/goldens/vcpus1-seed$s.json" "$tmpdir/suite-$s-shards1.json" | head -20 >&2
         exit 1
     fi
-done
-# A 4-vCPU machine must be deterministic per seed (two-run cmp: the seeded
-# interleaving is the only schedule source) and, like every machine,
-# shard-independent.
-for s in 1 42; do
-    "$tmpdir/overbench" -vcpus 4 -seed "$s" -shards 1 -json > "$tmpdir/v4-a-$s.json"
-    "$tmpdir/overbench" -vcpus 4 -seed "$s" -shards 1 -json > "$tmpdir/v4-b-$s.json"
-    if ! cmp -s "$tmpdir/v4-a-$s.json" "$tmpdir/v4-b-$s.json"; then
+    "$tmpdir/overbench" -vcpus 4 -seed "$s" -shards 1 -json > "$tmpdir/vcpus4-$s-rerun.json"
+    if ! cmp -s "$tmpdir/vcpus4-$s-shards1.json" "$tmpdir/vcpus4-$s-rerun.json"; then
         echo "VCPUs=4 determinism broken: seed $s output differs between two identical runs" >&2
-        diff "$tmpdir/v4-a-$s.json" "$tmpdir/v4-b-$s.json" | head -20 >&2
-        exit 1
-    fi
-    "$tmpdir/overbench" -vcpus 4 -seed "$s" -shards 4 -json > "$tmpdir/v4-sharded-$s.json"
-    if ! cmp -s "$tmpdir/v4-a-$s.json" "$tmpdir/v4-sharded-$s.json"; then
-        echo "VCPUs=4 shard determinism broken: seed $s output differs between -shards 1 and -shards 4" >&2
-        diff "$tmpdir/v4-a-$s.json" "$tmpdir/v4-sharded-$s.json" | head -20 >&2
+        diff "$tmpdir/vcpus4-$s-shards1.json" "$tmpdir/vcpus4-$s-rerun.json" | head -20 >&2
         exit 1
     fi
 done
 echo "vcpus goldens: VCPUs=1 byte-identical to the pinned goldens, VCPUs=4 deterministic and shard-independent (seeds 1, 42)"
-
-echo "== fault-sweep smoke"
-# E13 drives the fault-injection layer end to end. The injected fault
-# schedule is part of the deterministic machine: the sweep's JSON must be
-# byte-identical between a serial and a 4-way sharded run, on two seeds.
-for s in 3 11; do
-    "$tmpdir/overbench" -e E13 -seed "$s" -shards 1 -json > "$tmpdir/fault-serial-$s.json"
-    "$tmpdir/overbench" -e E13 -seed "$s" -shards 4 -json > "$tmpdir/fault-sharded-$s.json"
-    if ! cmp -s "$tmpdir/fault-serial-$s.json" "$tmpdir/fault-sharded-$s.json"; then
-        echo "fault sweep determinism broken: seed $s output differs between -shards 1 and -shards 4" >&2
-        diff "$tmpdir/fault-serial-$s.json" "$tmpdir/fault-sharded-$s.json" | head -20 >&2
-        exit 1
-    fi
-done
-
-echo "== profile determinism"
-# The profiler leaf-attributes every charged cycle and histograms every span
-# duration. Merging per-world profiles is additive and every export sorts, so
-# the profile artifact and the profiled table JSON must be byte-identical
-# between a serial and a 4-way sharded run, on two seeds.
-for s in 3 11; do
-    "$tmpdir/overbench" -e E2 -seed "$s" -shards 1 -json \
-        -profile "$tmpdir/profile-serial-$s.json" > "$tmpdir/ptab-serial-$s.json" 2>/dev/null
-    "$tmpdir/overbench" -e E2 -seed "$s" -shards 4 -json \
-        -profile "$tmpdir/profile-sharded-$s.json" > "$tmpdir/ptab-sharded-$s.json" 2>/dev/null
-    for pair in profile ptab; do
-        if ! cmp -s "$tmpdir/$pair-serial-$s.json" "$tmpdir/$pair-sharded-$s.json"; then
-            echo "profile determinism broken: seed $s $pair differs between -shards 1 and -shards 4" >&2
-            diff "$tmpdir/$pair-serial-$s.json" "$tmpdir/$pair-sharded-$s.json" | head -20 >&2
-            exit 1
-        fi
-    done
-    # The artifact must parse and render through the summarizer.
-    go run ./cmd/overprof "$tmpdir/profile-serial-$s.json" > /dev/null
-done
-echo "profile artifact: $tmpdir/profile-serial-3.json (and seed 11) verified shard-independent"
-
-echo "== crash-sweep smoke"
-# E14 crashes whole machines at derived cycle deadlines and reboots each one
-# through journal replay and page recovery. A (seed, crash point) pair names
-# one exact crashed world, so the sweep's JSON must be byte-identical between
-# a serial and a 4-way sharded run, on two seeds.
-for s in 5 9; do
-    "$tmpdir/overbench" -e E14 -seed "$s" -shards 1 -json > "$tmpdir/crash-serial-$s.json"
-    "$tmpdir/overbench" -e E14 -seed "$s" -shards 4 -json > "$tmpdir/crash-sharded-$s.json"
-    if ! cmp -s "$tmpdir/crash-serial-$s.json" "$tmpdir/crash-sharded-$s.json"; then
-        echo "crash sweep determinism broken: seed $s output differs between -shards 1 and -shards 4" >&2
-        diff "$tmpdir/crash-serial-$s.json" "$tmpdir/crash-sharded-$s.json" | head -20 >&2
-        exit 1
-    fi
-done
-
-echo "== adversary-sweep smoke"
-# E17 runs the pluggable malicious kernel: Iago forgeries, scheduler races,
-# rootkit hiding, and exhaustion floods. Attack schedules derive from
-# (seed, plan name), so the sweep's JSON must be byte-identical between a
-# serial and a 4-way sharded run, on two seeds. The goldens gate above
-# already pins E1–E14 output byte-identical with every adversary feature
-# off by default; this gate pins the adversary rows themselves.
-for s in 1 23; do
-    "$tmpdir/overbench" -e E17 -seed "$s" -shards 1 -json > "$tmpdir/adv-serial-$s.json"
-    "$tmpdir/overbench" -e E17 -seed "$s" -shards 4 -json > "$tmpdir/adv-sharded-$s.json"
-    if ! cmp -s "$tmpdir/adv-serial-$s.json" "$tmpdir/adv-sharded-$s.json"; then
-        echo "adversary sweep determinism broken: seed $s output differs between -shards 1 and -shards 4" >&2
-        diff "$tmpdir/adv-serial-$s.json" "$tmpdir/adv-sharded-$s.json" | head -20 >&2
-        exit 1
-    fi
-done
-
-echo "== migration-sweep smoke"
-# E16 quiesces live domains, seals checkpoints, ships them across a faulted
-# transfer channel, and restores onto machines with different vCPU counts.
-# Capture points and transfer-fault schedules derive from (seed, probe), so
-# the sweep's JSON must be byte-identical between a serial and a 4-way
-# sharded run, on two seeds.
-for s in 1 42; do
-    "$tmpdir/overbench" -e E16 -seed "$s" -shards 1 -json > "$tmpdir/mig-serial-$s.json"
-    "$tmpdir/overbench" -e E16 -seed "$s" -shards 4 -json > "$tmpdir/mig-sharded-$s.json"
-    if ! cmp -s "$tmpdir/mig-serial-$s.json" "$tmpdir/mig-sharded-$s.json"; then
-        echo "migration sweep determinism broken: seed $s output differs between -shards 1 and -shards 4" >&2
-        diff "$tmpdir/mig-serial-$s.json" "$tmpdir/mig-sharded-$s.json" | head -20 >&2
-        exit 1
-    fi
-done
 
 echo "ALL CHECKS PASSED"
