@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"sort"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // exportedCounterNames pins every counter's exported name. The names reach
 // the goldens, metrics exports and profiles, so a rename here is a change
@@ -113,24 +109,6 @@ func TestCounterNamesUniqueAndNonEmpty(t *testing.T) {
 	}
 	if _, ok := CounterByName("no.such.counter"); ok {
 		t.Error("CounterByName resolved an unknown name")
-	}
-}
-
-func TestStatsStringOrdersByName(t *testing.T) {
-	s := NewStats()
-	for c := Counter(0); c < numCounters; c++ {
-		s.Add(c, uint64(c)+1)
-	}
-	lines := strings.Split(strings.TrimSuffix(s.String(), "\n"), "\n")
-	if len(lines) != int(numCounters) {
-		t.Fatalf("String rendered %d lines, want %d", len(lines), numCounters)
-	}
-	names := make([]string, len(lines))
-	for i, l := range lines {
-		names[i] = strings.Fields(l)[0]
-	}
-	if !sort.StringsAreSorted(names) {
-		t.Fatalf("String not ordered by name: %v", names)
 	}
 }
 
