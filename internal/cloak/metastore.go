@@ -43,10 +43,12 @@ type mruSlot struct {
 	ok   bool
 }
 
-// NewMetaStore builds a store whose cache holds cacheCap records. The
-// backing spill area is pre-sized to the cache capacity: workloads that
-// overflow the cache at all usually overflow it by a lot, and growing the
-// map incrementally is a measurable host-side cost in the page-out sweeps.
+// NewMetaStore builds a store whose cache holds cacheCap records. Neither
+// map is pre-sized: both grow with the records actually stored. cacheCap
+// bounds the cache, it does not predict it, and most machines hold far
+// fewer records than the default 4096 (a paging workload may never spill
+// to the backing area at all), so pre-sizing both maps to the cache
+// capacity cost every machine the heap of 8192 records up front.
 func NewMetaStore(world *sim.World, cacheCap int) *MetaStore {
 	if cacheCap <= 0 {
 		cacheCap = 1
@@ -54,8 +56,8 @@ func NewMetaStore(world *sim.World, cacheCap int) *MetaStore {
 	return &MetaStore{
 		world:   world,
 		cap:     cacheCap,
-		cache:   make(map[PageID]Meta, cacheCap),
-		backing: make(map[PageID]Meta, cacheCap),
+		cache:   make(map[PageID]Meta),
+		backing: make(map[PageID]Meta),
 		mru:     make([]mruSlot, world.NumVCPUs()),
 	}
 }

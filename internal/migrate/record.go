@@ -1,7 +1,6 @@
 package migrate
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -31,9 +30,6 @@ import (
 
 // RecordSize is the fixed size of every checkpoint record.
 const RecordSize = 128
-
-// macSize is the truncated HMAC-SHA256 length stored per record.
-const macSize = 24
 
 // formatVersion identifies the checkpoint layout; a decoder refuses blobs
 // written by a different layout instead of misparsing them.
@@ -70,22 +66,12 @@ func SealKeyFor(journalKey [32]byte) [32]byte {
 	return key
 }
 
-// seal computes the truncated record MAC over the first offMAC bytes.
-func seal(key *[32]byte, body []byte) [macSize]byte {
-	m := hmac.New(sha256.New, key[:])
-	m.Write(body)
-	var out [macSize]byte
-	sum := m.Sum(nil)
-	copy(out[:], sum[:macSize])
-	return out
-}
-
 // sealRecord stamps the common fields and MAC onto one encoded record.
-func sealRecord(dst []byte, kind byte, epoch uint32, seq uint64, key *[32]byte) {
+func sealRecord(dst []byte, kind byte, epoch uint32, seq uint64, s *persist.Sealer) {
 	dst[offKind] = kind
 	binary.LittleEndian.PutUint32(dst[offEpoch:], epoch)
 	binary.LittleEndian.PutUint64(dst[offSeq:], seq)
-	mac := seal(key, dst[:offMAC])
+	mac := s.Seal(dst[:offMAC])
 	copy(dst[offMAC:], mac[:])
 }
 
@@ -103,6 +89,7 @@ func Encode(ckpt *Checkpoint, key [32]byte) []byte {
 	}
 	out := make([]byte, (2+n+m)*RecordSize+nblobs*mach.PageSize)
 	blobBase := (2 + n + m) * RecordSize
+	seal := persist.NewSealer(&key)
 
 	// Header.
 	hdr := out[:RecordSize]
@@ -113,7 +100,7 @@ func Encode(ckpt *Checkpoint, key [32]byte) []byte {
 	binary.LittleEndian.PutUint32(hdr[28:], uint32(ckpt.SrcVCPUs))
 	copy(hdr[32:64], ckpt.Identity[:])
 	binary.LittleEndian.PutUint32(hdr[64:], uint32(nblobs))
-	sealRecord(hdr, kindHeader, ckpt.Epoch, 0, &key)
+	sealRecord(hdr, kindHeader, ckpt.Epoch, 0, seal)
 
 	// Page metadata records, blobs assigned in order.
 	blobIdx := 0
@@ -133,7 +120,7 @@ func Encode(ckpt *Checkpoint, key [32]byte) []byte {
 		binary.LittleEndian.PutUint64(rec[36:], p.Meta.Version)
 		copy(rec[44:60], p.Meta.IV[:])
 		copy(rec[60:92], p.Meta.Hash[:])
-		sealRecord(rec, kindPageMeta, ckpt.Epoch, uint64(1+i), &key)
+		sealRecord(rec, kindPageMeta, ckpt.Epoch, uint64(1+i), seal)
 	}
 
 	// Thread (CTC) records.
@@ -150,7 +137,7 @@ func Encode(ckpt *Checkpoint, key [32]byte) []byte {
 		for g, v := range t.Regs.GPR {
 			binary.LittleEndian.PutUint64(rec[40+8*g:], v)
 		}
-		sealRecord(rec, kindCTC, ckpt.Epoch, uint64(1+n+i), &key)
+		sealRecord(rec, kindCTC, ckpt.Epoch, uint64(1+n+i), seal)
 	}
 
 	// Trailer repeats the counts so a truncated record section can never
@@ -159,15 +146,14 @@ func Encode(ckpt *Checkpoint, key [32]byte) []byte {
 	binary.LittleEndian.PutUint32(trl[16:], uint32(n))
 	binary.LittleEndian.PutUint32(trl[20:], uint32(m))
 	binary.LittleEndian.PutUint32(trl[24:], uint32(nblobs))
-	sealRecord(trl, kindTrailer, ckpt.Epoch, uint64(1+n+m), &key)
+	sealRecord(trl, kindTrailer, ckpt.Epoch, uint64(1+n+m), seal)
 
 	return out
 }
 
 // decodeRecord verifies one record's MAC; ok is false on any mismatch.
-func decodeRecord(src []byte, key *[32]byte) bool {
-	want := seal(key, src[:offMAC])
-	return hmac.Equal(want[:], src[offMAC:offMAC+macSize])
+func decodeRecord(src []byte, s *persist.Sealer) bool {
+	return s.Verify(src[:offMAC], src[offMAC:offMAC+persist.MACSize])
 }
 
 // Decode parses and verifies a checkpoint blob under key.
@@ -185,8 +171,9 @@ func Decode(blob []byte, key [32]byte) (*Checkpoint, []Rejection, error) {
 	if len(blob) < 2*RecordSize {
 		return nil, nil, fmt.Errorf("%w: %d bytes is shorter than header+trailer", ErrCheckpointMalformed, len(blob))
 	}
+	seal := persist.NewSealer(&key)
 	hdr := blob[:RecordSize]
-	if !decodeRecord(hdr, &key) {
+	if !decodeRecord(hdr, seal) {
 		return nil, nil, fmt.Errorf("%w: header seal did not verify (torn, corrupted, or sealed under a different key)", ErrCheckpointMalformed)
 	}
 	if hdr[offKind] != kindHeader || hdr[1] != formatVersion {
@@ -220,7 +207,7 @@ func Decode(blob []byte, key [32]byte) (*Checkpoint, []Rejection, error) {
 	// false return means the record was rejected (and accounted).
 	verifyCommon := func(rec []byte, frame int, kind byte) bool {
 		switch {
-		case !decodeRecord(rec, &key):
+		case !decodeRecord(rec, seal):
 			reject(frame, persist.RejectBadMAC)
 		case rec[offKind] != kind:
 			reject(frame, persist.RejectBadKind)
@@ -294,7 +281,7 @@ func Decode(blob []byte, key [32]byte) (*Checkpoint, []Rejection, error) {
 	// counts must repeat the header's — the anti-truncation cross-check.
 	frame := 1 + n + m
 	trl := blob[frame*RecordSize : (frame+1)*RecordSize]
-	if !decodeRecord(trl, &key) || trl[offKind] != kindTrailer ||
+	if !decodeRecord(trl, seal) || trl[offKind] != kindTrailer ||
 		binary.LittleEndian.Uint32(trl[offEpoch:]) != epoch ||
 		binary.LittleEndian.Uint64(trl[offSeq:]) != uint64(frame) ||
 		int(binary.LittleEndian.Uint32(trl[16:])) != n ||

@@ -59,7 +59,7 @@ var ErrJournalFull = fmt.Errorf("persist: journal wedged: reserved range full")
 type Journal struct {
 	world *sim.World
 	disk  *mach.Disk
-	key   [32]byte
+	seal  *Sealer
 	opts  Options
 
 	base       uint64 // first reserved block
@@ -110,7 +110,7 @@ func newJournal(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]
 	j := &Journal{
 		world:      world,
 		disk:       disk,
-		key:        key,
+		seal:       NewSealer(&key),
 		opts:       opts,
 		base:       base,
 		blocks:     blocks,
@@ -351,7 +351,7 @@ func (j *Journal) append(r Record) {
 		j.tailBlock = blk
 	}
 	off := (slot % RecordsPerBlock) * RecordSize
-	encode(j.tail[off:off+RecordSize], r, &j.key)
+	encode(j.tail[off:off+RecordSize], r, j.seal)
 	start := j.world.Now()
 	err := j.disk.Write(blk, j.tail[:])
 	j.world.CPU().ChargeCount(0, sim.CtrJournalAppend)
@@ -423,7 +423,7 @@ func (j *Journal) checkpoint() {
 				Hash:    e.Meta.Hash,
 				Dev:     snapshotDev(e),
 				Block:   e.Block,
-			}, &j.key)
+			}, j.seal)
 			written++
 		}
 		if err := j.disk.Write(slotBase+b, img[:]); err != nil {
@@ -443,7 +443,7 @@ func (j *Journal) checkpoint() {
 		Seq:     n,
 		Version: FormatVersion,
 		Block:   superMagic,
-	}, &j.key)
+	}, j.seal)
 	superBlk := j.base + uint64(newEpoch%2)
 	if err := j.disk.Write(superBlk, img[:]); err != nil {
 		// Commit failed: the medium still names the old epoch. Everything

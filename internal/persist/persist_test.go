@@ -52,8 +52,9 @@ func TestRecordCodecRoundtrip(t *testing.T) {
 	copy(r.IV[:], bytes.Repeat([]byte{0xAB}, len(r.IV)))
 	copy(r.Hash[:], bytes.Repeat([]byte{0xCD}, len(r.Hash)))
 	var buf [RecordSize]byte
-	encode(buf[:], r, &key)
-	got, ok := decode(buf[:], &key)
+	seal := NewSealer(&key)
+	encode(buf[:], r, seal)
+	got, ok := decode(buf[:], seal)
 	if !ok {
 		t.Fatal("decode rejected a freshly sealed record")
 	}
@@ -64,13 +65,13 @@ func TestRecordCodecRoundtrip(t *testing.T) {
 	for _, off := range []int{0, offEpoch, offVersion, offIV, offHash, offMAC} {
 		tam := buf
 		tam[off] ^= 0x01
-		if _, ok := decode(tam[:], &key); ok {
+		if _, ok := decode(tam[:], seal); ok {
 			t.Fatalf("decode accepted record with byte %d flipped", off)
 		}
 	}
 	// The wrong key must reject everything.
 	other := SealKey(43)
-	if _, ok := decode(buf[:], &other); ok {
+	if _, ok := decode(buf[:], NewSealer(&other)); ok {
 		t.Fatal("decode accepted a record under the wrong sealing key")
 	}
 }
@@ -201,7 +202,7 @@ func TestReplayRejectsRollback(t *testing.T) {
 	encode(buf[j.seq*RecordSize:(j.seq+1)*RecordSize], Record{
 		Kind: KindPut, Epoch: j.epoch, Seq: j.seq, ID: pid(1, 1, 0),
 		Version: old.Version, IV: old.IV, Hash: old.Hash,
-	}, &key)
+	}, NewSealer(&key))
 	disk.Poke(j.logStart, buf[:])
 
 	rep := Replay(testWorld(10), disk, 128, testBlocks, key)

@@ -28,6 +28,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/mach"
@@ -138,21 +139,41 @@ const (
 	offMAC     = 104
 )
 
-// seal computes the truncated record MAC over the first offMAC bytes.
-func seal(key *[32]byte, body []byte) [MACSize]byte {
-	//overlint:allow hotpathalloc -- keyed-MAC state is per-seal by construction; sealing rides the journal append, not the dispatch loop
-	m := hmac.New(sha256.New, key[:])
-	m.Write(body)
+// Sealer computes record MACs (HMAC-SHA256 truncated to MACSize bytes)
+// under one key. It keeps a single keyed MAC state and resets it for each
+// record, so sealing and verifying allocate nothing after construction. The
+// journal writer, each Replay and each migration codec call build their
+// own; a Sealer is not safe for concurrent use.
+type Sealer struct {
+	mac hash.Hash
+	sum [sha256.Size]byte
+}
+
+// NewSealer returns a Sealer keyed with key.
+func NewSealer(key *[32]byte) *Sealer {
+	return &Sealer{mac: hmac.New(sha256.New, key[:])}
+}
+
+// Seal returns the truncated MAC of body.
+func (s *Sealer) Seal(body []byte) [MACSize]byte {
+	s.mac.Reset()
+	s.mac.Write(body)
 	var out [MACSize]byte
-	sum := m.Sum(nil)
-	copy(out[:], sum[:MACSize])
+	copy(out[:], s.mac.Sum(s.sum[:0]))
 	return out
+}
+
+// Verify reports, in constant time, whether mac is the truncated MAC of
+// body.
+func (s *Sealer) Verify(body, mac []byte) bool {
+	want := s.Seal(body)
+	return hmac.Equal(want[:], mac)
 }
 
 // encode serializes r into dst (len >= RecordSize) and seals it. The layout
 // is pure fixed-width stores: nothing here may depend on map iteration or
 // any other source of run-to-run variation.
-func encode(dst []byte, r Record, key *[32]byte) {
+func encode(dst []byte, r Record, s *Sealer) {
 	for i := 0; i < RecordSize; i++ {
 		dst[i] = 0
 	}
@@ -167,7 +188,7 @@ func encode(dst []byte, r Record, key *[32]byte) {
 	copy(dst[offIV:], r.IV[:])
 	copy(dst[offHash:], r.Hash[:])
 	binary.LittleEndian.PutUint64(dst[offBlock:], r.Block)
-	mac := seal(key, dst[:offMAC])
+	mac := s.Seal(dst[:offMAC])
 	copy(dst[offMAC:], mac[:])
 }
 
@@ -183,9 +204,8 @@ func isZero(src []byte) bool {
 
 // decode parses and verifies one record slot. ok is false when the MAC does
 // not verify — a torn, corrupted, or forged record; the caller classifies.
-func decode(src []byte, key *[32]byte) (Record, bool) {
-	want := seal(key, src[:offMAC])
-	if !hmac.Equal(want[:], src[offMAC:offMAC+MACSize]) {
+func decode(src []byte, s *Sealer) (Record, bool) {
+	if !s.Verify(src[:offMAC], src[offMAC:offMAC+MACSize]) {
 		return Record{}, false
 	}
 	var r Record

@@ -138,6 +138,7 @@ func readBlock(disk *mach.Disk, blk uint64, dst []byte) error {
 // a stale epoch, breaks sequence contiguity, or rolls a version backwards.
 func Replay(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte) *Result {
 	res := &Result{Table: make(map[cloak.PageID]Entry)}
+	seal := NewSealer(&key)
 	start := world.Now()
 	defer func() {
 		world.CPU().EmitSpan(obs.KindPersist, "replay", uint64(res.Accepted()), world.Now()-start)
@@ -162,7 +163,7 @@ func Replay(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte
 			res.reject(world, Rejection{Phase: "super", Block: base + slot, Reason: RejectReadError})
 			continue
 		}
-		r, ok := decode(buf[:RecordSize], &key)
+		r, ok := decode(buf[:RecordSize], seal)
 		if !ok {
 			if !isZero(buf[:RecordSize]) {
 				res.reject(world, Rejection{Phase: "super", Block: base + slot, Reason: RejectBadMAC})
@@ -205,7 +206,7 @@ func Replay(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte
 				}
 			}
 		}
-		r, ok := decode(buf[off:off+RecordSize], &key)
+		r, ok := decode(buf[off:off+RecordSize], seal)
 		if !ok {
 			res.reject(world, Rejection{Phase: "checkpoint", Block: blk, Slot: i, Reason: RejectBadMAC})
 			continue
@@ -246,7 +247,7 @@ func Replay(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte
 		if isZero(slot) {
 			return res // clean end of log
 		}
-		r, ok := decode(slot, &key)
+		r, ok := decode(slot, seal)
 		if !ok {
 			res.reject(world, Rejection{Phase: "log", Block: blk, Slot: i, Reason: RejectBadMAC})
 			return res

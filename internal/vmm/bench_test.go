@@ -5,6 +5,7 @@ import (
 
 	"overshadow/internal/mach"
 	"overshadow/internal/mmu"
+	"overshadow/internal/sim"
 )
 
 func benchRig(b *testing.B) *testRig {
@@ -35,7 +36,7 @@ func BenchmarkTranslateShadowMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vpn := uint64(i % 32)
-		r.as.shadow(0, ViewApp).Unmap(vpn)
+		r.v.shadowUnmap(r.as, 0, ViewApp, vpn)
 		r.v.tlbInvalidatePage(vpn)
 		if _, err := r.v.Translate(r.as, ViewApp, vpn, mmu.AccessRead, true); err != nil {
 			b.Fatal(err)
@@ -88,5 +89,87 @@ func BenchmarkReadVirtBulk(b *testing.B) {
 		if err := r.v.ReadVirt(r.as, ViewApp, 0, buf, true); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// dropTarget is the guest page whose mappings BenchmarkDropAllShadowsOfGPPN
+// drops: VPN 100 of the first two spaces maps it.
+const dropTarget mach.GPPN = 5
+
+// newDropRig boots a 2-vCPU VMM with six address spaces, each mapping 48
+// VPNs onto shared frames, faulted into both views on both vCPUs, plus
+// dropTarget at VPN 100 of the first two spaces. It returns the VMM and a
+// function that reinstalls dropTarget's 8 shadow entries (2 spaces x 2
+// views x 2 vCPUs) without touching the TLBs.
+func newDropRig(tb testing.TB) (*VMM, func()) {
+	tb.Helper()
+	w := sim.NewWorldN(sim.DefaultCostModel(), 7, 2)
+	v, err := New(w, Config{GuestPages: 64})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spaces := make([]*AddressSpace, 6)
+	for k := range spaces {
+		as := v.CreateAddressSpace(mmu.NewPageTable())
+		for vpn := uint64(0); vpn < 48; vpn++ {
+			as.guestPT.Map(vpn, mmu.PTE{PN: 8 + (vpn+uint64(k)*7)%48,
+				Flags: mmu.FlagPresent | mmu.FlagWritable | mmu.FlagUser})
+		}
+		if k < 2 {
+			as.guestPT.Map(100, mmu.PTE{PN: uint64(dropTarget),
+				Flags: mmu.FlagPresent | mmu.FlagWritable | mmu.FlagUser})
+		}
+		spaces[k] = as
+	}
+	for _, c := range w.VCPUs() {
+		w.Activate(c)
+		for _, as := range spaces {
+			as.guestPT.Range(func(vpn uint64, _ mmu.PTE) bool {
+				for _, view := range []View{ViewApp, ViewSystem} {
+					if _, err := v.Translate(as, view, vpn, mmu.AccessRead, view == ViewApp); err != nil {
+						tb.Fatal(err)
+					}
+				}
+				return true
+			})
+		}
+	}
+	w.Activate(w.Boot())
+	mpn, _ := v.machineOf(dropTarget)
+	victims := append([]shadowRef(nil), v.rmap[mpn]...)
+	if len(victims) != 8 {
+		tb.Fatalf("dropTarget has %d shadow mappings, want 8", len(victims))
+	}
+	pte := mmu.PTE{PN: uint64(mpn), Flags: mmu.FlagPresent | mmu.FlagWritable}
+	refill := func() {
+		for _, r := range victims {
+			v.shadowMap(r.as, int(r.cpu), r.view, r.vpn, pte)
+		}
+	}
+	return v, refill
+}
+
+// BenchmarkDropAllShadowsOfGPPN measures one cloak-transition invalidation
+// of a frame with 8 shadow mappings on a VMM holding 6 populated spaces.
+func BenchmarkDropAllShadowsOfGPPN(b *testing.B) {
+	v, refill := newDropRig(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		refill()
+		v.dropAllShadowsOfGPPN(dropTarget)
+	}
+}
+
+// TestDropAllShadowsOfGPPNAllocationFree pins the invalidation path at zero
+// allocations once the reverse map's lists have reached their size.
+func TestDropAllShadowsOfGPPNAllocationFree(t *testing.T) {
+	v, refill := newDropRig(t)
+	n := testing.AllocsPerRun(100, func() {
+		refill()
+		v.dropAllShadowsOfGPPN(dropTarget)
+	})
+	if n != 0 {
+		t.Fatalf("refill + dropAllShadowsOfGPPN allocates %.1f times, want 0", n)
 	}
 }

@@ -166,7 +166,7 @@ func (v *VMM) resolveShadowFault(as *AddressSpace, view View, vpn uint64, access
 	}
 	c := v.cpu()
 	spte := mmu.PTE{PN: uint64(mpn), Flags: flags}
-	as.shadow(c.ID(), view).Map(vpn, spte)
+	v.shadowMap(as, c.ID(), view, vpn, spte)
 	c.ChargeCount(v.world.Cost.ShadowFill, sim.CtrShadowFill)
 	v.tlbs[c.ID()].Insert(as.ctxIDs[view], vpn, spte)
 	v.markGuestAD(as, vpn, access)

@@ -106,6 +106,11 @@ type VMM struct {
 	// kernel addresses memory exclusively by GPPN.
 	pmap []mach.MPN
 
+	// rmap: machine -> every present shadow entry mapping that frame, so a
+	// cloak transition drops a frame's mappings without sweeping every
+	// shadow table (see rmap.go for the invariant).
+	rmap [][]shadowRef
+
 	spaces    map[ASID]*AddressSpace
 	nextASID  ASID
 	nextCtxID uint32
@@ -197,6 +202,7 @@ func New(world *sim.World, cfg Config) (*VMM, error) {
 		engine:       cloak.NewEngine(world, cloak.NewMasterKeyer(secret)),
 		metas:        cloak.NewMetaStore(world, metaCap),
 		pmap:         make([]mach.MPN, cfg.GuestPages),
+		rmap:         make([][]shadowRef, mem.NumFrames()),
 		spaces:       make(map[ASID]*AddressSpace),
 		pages:        make(map[mach.GPPN]*cloakPage),
 		byDomain:     make(map[cloak.DomainID]map[mach.GPPN]*cloakPage),
@@ -326,8 +332,13 @@ func (v *VMM) CreateAddressSpace(guestPT *mmu.PageTable) *AddressSpace {
 // guest-physical pages; the VMM only forgets its own state.
 func (v *VMM) DestroyAddressSpace(as *AddressSpace) {
 	for cpu := range as.shadows {
-		for view := range as.shadows[cpu] {
-			as.shadows[cpu][view].Clear()
+		for view := View(0); view < numViews; view++ {
+			sh := as.shadows[cpu][view]
+			sh.Range(func(vpn uint64, pte mmu.PTE) bool {
+				v.rmapUnlink(pte.PN, shadowRef{as: as, vpn: vpn, cpu: int32(cpu), view: view})
+				return true
+			})
+			sh.Clear()
 		}
 	}
 	for i := range as.ctxIDs {
@@ -397,9 +408,7 @@ func (v *VMM) tlbInvalidateContext(ctx uint32) {
 func (v *VMM) dropShadowsFor(as *AddressSpace, vpn uint64, views ...View) {
 	for _, view := range views {
 		for cpu := range as.shadows {
-			sh := as.shadows[cpu][view]
-			if sh.Lookup(vpn).Present() {
-				sh.Unmap(vpn)
+			if v.shadowUnmap(as, cpu, view, vpn) {
 				v.cpu().ChargeCount(v.world.Cost.ShadowDrop, sim.CtrShadowDrop)
 			}
 		}
@@ -415,47 +424,14 @@ func (v *VMM) dropShadowsFor(as *AddressSpace, vpn uint64, views ...View) {
 func (v *VMM) dropShadowsRange(as *AddressSpace, base, pages uint64) {
 	for view := View(0); view < numViews; view++ {
 		for cpu := range as.shadows {
-			sh := as.shadows[cpu][view]
 			for vpn := base; vpn < base+pages; vpn++ {
-				if sh.Lookup(vpn).Present() {
-					sh.Unmap(vpn)
+				if v.shadowUnmap(as, cpu, view, vpn) {
 					v.cpu().ChargeCount(v.world.Cost.ShadowDrop, sim.CtrShadowDrop)
 				}
 			}
 		}
 	}
 	v.tlbInvalidateRange(base, pages)
-}
-
-// dropAllShadowsOfGPPN removes every shadow mapping (any space, any vCPU,
-// any view) that points at gppn. Needed when a page changes cloak state:
-// stale mappings in other views/spaces would bypass the state machine.
-func (v *VMM) dropAllShadowsOfGPPN(gppn mach.GPPN) {
-	m, ok := v.machineOf(gppn)
-	if !ok {
-		return
-	}
-	mpn := uint64(m)
-	//overlint:allow hotpathalloc -- shadow invalidation sweep; deletes are order-independent
-	for _, as := range v.spaces {
-		for view := View(0); view < numViews; view++ {
-			for cpu := range as.shadows {
-				sh := as.shadows[cpu][view]
-				var victims []uint64
-				sh.Range(func(vpn uint64, pte mmu.PTE) bool {
-					if pte.PN == mpn {
-						victims = append(victims, vpn)
-					}
-					return true
-				})
-				for _, vpn := range victims {
-					sh.Unmap(vpn)
-					v.cpu().ChargeCount(v.world.Cost.ShadowDrop, sim.CtrShadowDrop)
-					v.tlbInvalidatePage(vpn)
-				}
-			}
-		}
-	}
 }
 
 // InvalidateGuestMapping must be called by the guest kernel whenever it

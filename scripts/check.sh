@@ -10,7 +10,7 @@
 #              JSON findings artifact and pins the smpready package-state
 #              inventory
 #   build      everything compiles
-#   tests      full suite
+#   tests      full suite, plus the perfbench module's own tests
 #   race       race detector over the concurrent packages (guest kernel
 #              goroutines + end-to-end scenarios), including the SMP
 #              interleaving tests at 4 vCPUs: the check that the scheduler
@@ -61,6 +61,14 @@ go build ./...
 
 echo "== tests"
 go test ./...
+
+echo "== perfbench tests"
+# perfbench is its own module. Its tests run every workload at tiny scale
+# through the benchmark's correctness checks (every op succeeds, counter
+# deltas repeat across episodes, the same seed repeats exactly), so a
+# simulator change that would break the benchmark fails here. They write
+# no files; the flags keep the run offline.
+(cd perfbench && GOFLAGS=-mod=mod GOPROXY=off go test .)
 
 echo "== race pass"
 # internal/core includes the SMP suite (TestSMP* boots 2- and 4-vCPU
