@@ -129,7 +129,7 @@ type benchExperiment struct {
 
 // benchRecord is the stable -out schema (documented in README.md). The
 // sim_cycles fields are deterministic — identical for any shard count and
-// host — while host_ms/wall_ms measure this machine's wall time.
+// host — while host_ms (summed job time) and wall_ms measure this machine.
 type benchRecord struct {
 	Schema         string            `json:"schema"` // "overshadow-bench/v1"
 	Mode           string            `json:"mode"`   // "quick" | "full"

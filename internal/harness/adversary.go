@@ -364,22 +364,14 @@ func e17scenarios() []advScenario {
 // RunE17 sweeps the adversary battery; each scenario builds its own system,
 // so each runs as one pool job.
 func RunE17(opts Options) *Table {
-	scenarios := e17scenarios()
-	futs := make([]*future[advOutcome], len(scenarios))
-	for i, sc := range scenarios {
-		sc := sc
-		futs[i] = submit(opts, func(o Options) advOutcome {
-			return runAdvScenario(o, sc)
-		})
-	}
+	outcomes := sweep(opts, e17scenarios(), runAdvScenario)
 	t := &Table{
 		ID:    "E17",
 		Title: "Adversarial kernel battery: Iago returns, races, exhaustion, introspection",
 		Columns: []string{"iago rejects", "vmi diverges", "detections", "resource faults",
 			"quarantines", "victim done", "sibling intact", "leak-free", "contained"},
 	}
-	for _, f := range futs {
-		o := f.wait()
+	for _, o := range outcomes {
 		t.AddRow(o.name, float64(o.rejects), float64(o.diverges), float64(o.detections),
 			float64(o.resources), float64(o.quarantines), b2f(o.victimDone),
 			b2f(o.siblingOK), b2f(o.leakFree), b2f(o.contained))
@@ -394,12 +386,7 @@ func RunE17(opts Options) *Table {
 // runAdvScenario boots one hostile machine and runs the battery workload.
 func runAdvScenario(opts Options, sc advScenario) advOutcome {
 	o := advOutcome{name: sc.name}
-	// Distinct histories per scenario: mix the name into the seed so
-	// same-shaped workloads do not share a schedule.
-	seed := opts.seed()
-	for _, c := range []byte(sc.name) {
-		seed = seed*1099511628211 + uint64(c)
-	}
+	seed := scenarioSeed(opts.seed(), sc.name)
 	var plan adversary.Plan
 	if sc.plan != nil {
 		plan = sc.plan()
@@ -430,32 +417,8 @@ func runAdvScenario(opts Options, sc advScenario) advOutcome {
 		sibPages = 8 // the flood sibling must journal too (and stay under quota)
 	}
 	sibSteps := opts.scale(40, 25)
-	sys.Register("sibling", func(e core.Env) {
-		base := must1(e.Sbrk(int64(sibPages)))
-		for i := 0; i < sibPages; i++ {
-			e.Store64(base+core.Addr(i*core.PageSize), e17sibstamp+uint64(i))
-		}
-		// Stay alive across the victim's whole storm: the sibling's service
-		// must survive whatever the kernel mounts next door.
-		for s := 0; s < sibSteps; s++ {
-			e.Compute(4000)
-			for i := 0; i < sibPages; i++ {
-				if e.Load64(base+core.Addr(i*core.PageSize)) != e17sibstamp+uint64(i) {
-					return // corrupted: leave siblingOK false
-				}
-			}
-			e.Yield()
-		}
-		o.siblingOK = true
-		e.Exit(0)
-	})
-	sys.Register("worker", func(e core.Env) {
-		for s := 0; s < sibSteps; s++ {
-			e.Compute(3000)
-			e.Yield()
-		}
-		e.Exit(0)
-	})
+	sys.Register("sibling", bystander(e17sibstamp, sibPages, sibSteps, &o.siblingOK))
+	sys.Register("worker", worker(sibSteps))
 	if sc.storm > 0 {
 		// The spawn storm: flooders past the domain quota die at attach with
 		// a typed denial. Winners linger long enough that the storm's later
@@ -497,20 +460,11 @@ func runAdvScenario(opts Options, sc advScenario) advOutcome {
 
 	o.rejects = sys.Stats().Get(sim.CtrIagoRejected)
 	o.diverges = sys.Stats().Get(sim.CtrIntrospectDiverge)
-	for _, ev := range sys.SecurityEvents() {
-		switch ev.Kind {
-		case vmm.EventCTCTamper, vmm.EventIntegrityViolation:
-			o.detections++
-		case vmm.EventResourceFault:
-			o.resources++
-		case vmm.EventQuarantine:
-			o.quarantines++
-		}
-	}
+	o.detections = countEvents(sys, vmm.EventCTCTamper, vmm.EventIntegrityViolation)
+	o.resources = countEvents(sys, vmm.EventResourceFault)
+	o.quarantines = countEvents(sys, vmm.EventQuarantine)
 	// Privacy: no cloaked plaintext on either disk, and no hook ever saw it.
-	o.leakFree = !scanDisk(sys.Kernel.SwapDisk(), e17secret[:8]) &&
-		!scanDisk(sys.Kernel.FS().Disk(), e17secret[:8]) &&
-		!sys.Kernel.Adversary.Leaked
+	o.leakFree = !leaked(sys, e17secret[:8]) && !sys.Kernel.Adversary.Leaked
 	o.contained = sc.containedBy(o)
 	return o
 }

@@ -7,7 +7,6 @@ import (
 	"overshadow/internal/cloak"
 	"overshadow/internal/core"
 	"overshadow/internal/fault"
-	"overshadow/internal/mach"
 	"overshadow/internal/obs"
 	"overshadow/internal/sim"
 	"overshadow/internal/vmm"
@@ -130,13 +129,7 @@ type faultOutcome struct {
 // RunE13 sweeps the fault scenarios; each builds its own system, so each
 // runs as one pool job.
 func RunE13(opts Options) *Table {
-	futs := make([]*future[faultOutcome], len(e13scenarios))
-	for i, sc := range e13scenarios {
-		sc := sc
-		futs[i] = submit(opts, func(o Options) faultOutcome {
-			return runFaultScenario(o, sc)
-		})
-	}
+	outcomes := sweep(opts, e13scenarios, runFaultScenario)
 	t := &Table{
 		ID:      "E13",
 		Title:   "Fault sweep: injection, quarantine containment, graceful degradation",
@@ -144,8 +137,7 @@ func RunE13(opts Options) *Table {
 	}
 	retry := &obs.Histogram{}
 	var dropped uint64
-	for _, f := range futs {
-		o := f.wait()
+	for _, o := range outcomes {
 		t.AddRow(o.name, float64(o.faults), float64(o.retries), float64(o.quarantines),
 			b2f(o.victimDone), b2f(o.siblingOK), b2f(o.leakFree), b2f(o.residueOK))
 		// Scenario order is fixed, and histogram merge is order-independent
@@ -163,12 +155,8 @@ func RunE13(opts Options) *Table {
 // runFaultScenario boots one faulty machine and runs the workload.
 func runFaultScenario(opts Options, sc faultScenario) faultOutcome {
 	o := faultOutcome{name: sc.name}
-	// Distinct fault histories per scenario: mix the scenario name into the
-	// seed so plans with identical shapes do not share a schedule.
-	seed := opts.seed()
-	for _, c := range []byte(sc.name) {
-		seed = seed*1099511628211 + uint64(c)
-	}
+	// Distinct fault histories per scenario, even for same-shaped plans.
+	seed := scenarioSeed(opts.seed(), sc.name)
 	plan := sc.plan
 	sys := core.NewSystem(core.Config{MemoryPages: 96, Seed: seed, VCPUs: opts.VCPUs, Fault: &plan})
 	opts.observe(sys.World, "fault/"+sc.name)
@@ -214,35 +202,9 @@ func runFaultScenario(opts Options, sc faultScenario) faultOutcome {
 		e.Exit(0)
 	})
 
-	sibPages := 4
 	sibSteps := opts.scale(40, 25)
-	sys.Register("sibling", func(e core.Env) {
-		base := must1(e.Sbrk(int64(sibPages)))
-		for i := 0; i < sibPages; i++ {
-			e.Store64(base+core.Addr(i*core.PageSize), e13sibling+uint64(i))
-		}
-		// Stay alive across the victim's whole storm, touching our pages so
-		// they stay resident (the sibling must survive the quarantine).
-		for s := 0; s < sibSteps; s++ {
-			e.Compute(4000)
-			for i := 0; i < sibPages; i++ {
-				if e.Load64(base+core.Addr(i*core.PageSize)) != e13sibling+uint64(i) {
-					return // corrupted: leave siblingOK false
-				}
-			}
-			e.Yield()
-		}
-		o.siblingOK = true
-		e.Exit(0)
-	})
-
-	sys.Register("worker", func(e core.Env) {
-		for s := 0; s < sibSteps; s++ {
-			e.Compute(3000)
-			e.Yield()
-		}
-		e.Exit(0)
-	})
+	sys.Register("sibling", bystander(e13sibling, 4, sibSteps, &o.siblingOK))
+	sys.Register("worker", worker(sibSteps))
 
 	mustSpawn(sys, "victim")
 	mustSpawn(sys, "sibling")
@@ -275,19 +237,6 @@ func runFaultScenario(opts Options, sc faultScenario) faultOutcome {
 		}
 	}
 	// Privacy: no plaintext marker on either disk, whatever was injected.
-	o.leakFree = !scanDisk(sys.Kernel.SwapDisk(), e13secret[:8]) &&
-		!scanDisk(sys.Kernel.FS().Disk(), e13secret[:8])
+	o.leakFree = !leaked(sys, e13secret[:8])
 	return o
-}
-
-// scanDisk sweeps every block for pat. It reads through PokeRaw (the
-// aliasing view) strictly read-only: Peek now copies each block, and a
-// whole-device sweep would churn one allocation per block for nothing.
-func scanDisk(d *mach.Disk, pat []byte) bool {
-	for b := uint64(0); b < d.NumBlocks(); b++ {
-		if bytes.Contains(d.PokeRaw(b), pat) {
-			return true
-		}
-	}
-	return false
 }

@@ -203,30 +203,26 @@ func RunE7(opts Options) *Table {
 	// size is one job; the job returns the peak metadata footprint sampled
 	// at page-out time.
 	sizes := []int{ram * 5 / 4, ram * 3 / 2, ram * 2}
-	futs := make([]*future[int], len(sizes))
-	for i, pages := range sizes {
-		pages := pages
-		futs[i] = submit(opts, func(o Options) int {
-			cfg := workload.PagingConfig{WorkingSetPages: pages, Sweeps: 2}
-			sys := core.NewSystem(core.Config{MemoryPages: ram, SwapPages: uint64(ram) * 8, Seed: o.seed(), VCPUs: o.VCPUs})
-			o.observe(sys.World, fmt.Sprintf("meta-%dp/cloaked", pages))
-			maxBytes := 0
-			// Sample metadata growth whenever the kernel pages something out.
-			sys.Adversary().OnPageOut = func(_ *guestos.Kernel, _ *guestos.Proc, _ uint64, _ []byte) {
-				if b := sys.VMM.MetadataBytes(); b > maxBytes {
-					maxBytes = b
-				}
+	peaks := sweep(opts, sizes, func(o Options, pages int) int {
+		cfg := workload.PagingConfig{WorkingSetPages: pages, Sweeps: 2}
+		sys := core.NewSystem(core.Config{MemoryPages: ram, SwapPages: uint64(ram) * 8, Seed: o.seed(), VCPUs: o.VCPUs})
+		o.observe(sys.World, fmt.Sprintf("meta-%dp/cloaked", pages))
+		maxBytes := 0
+		// Sample metadata growth whenever the kernel pages something out.
+		sys.Adversary().OnPageOut = func(_ *guestos.Kernel, _ *guestos.Proc, _ uint64, _ []byte) {
+			if b := sys.VMM.MetadataBytes(); b > maxBytes {
+				maxBytes = b
 			}
-			sys.Register("paging", workload.PagingProgram(cfg))
-			if _, err := sys.Spawn("paging", core.Cloaked()); err != nil {
-				panic(err)
-			}
-			sys.Run()
-			return maxBytes
-		})
-	}
+		}
+		sys.Register("paging", workload.PagingProgram(cfg))
+		if _, err := sys.Spawn("paging", core.Cloaked()); err != nil {
+			panic(err)
+		}
+		sys.Run()
+		return maxBytes
+	})
 	for i, pages := range sizes {
-		maxBytes := futs[i].wait()
+		maxBytes := peaks[i]
 		perPage := 0.0
 		if maxBytes > 0 {
 			// Metadata records exist for every page that has ever been

@@ -50,7 +50,8 @@ func (f *future[T]) wait() T {
 // order on the experiment goroutine, so observer slots sort back into
 // declaration order no matter which worker finishes first. With no pool
 // (direct RunEn calls, as the shape tests do) the job runs inline and the
-// key stays zero — the old serial semantics exactly.
+// key stays zero — the old serial semantics exactly. Under RunAll the job's
+// host time is measured inside its pool slot, so queue wait is excluded.
 func submit[T any](o Options, fn func(Options) T) *future[T] {
 	if o.obsSeq != nil {
 		o.obsKey = o.obsBase | *o.obsSeq
@@ -65,16 +66,36 @@ func submit[T any](o Options, fn func(Options) T) *future[T] {
 	go func() {
 		p.sem <- struct{}{}
 		defer func() { <-p.sem }()
-		f.ch <- fn(o)
+		start := time.Now()
+		v := fn(o)
+		o.tally.addHost(time.Since(start))
+		f.ch <- v
 	}()
 	return f
 }
 
+// sweep runs one job per item and returns the results in item order. Every
+// job is submitted before any is waited on, so the items share the pool and
+// their observer keys follow item order.
+func sweep[S, O any](opts Options, items []S, run func(Options, S) O) []O {
+	futs := make([]*future[O], len(items))
+	for i, it := range items {
+		futs[i] = submit(opts, func(o Options) O { return run(o, it) })
+	}
+	out := make([]O, len(items))
+	for i, f := range futs {
+		out[i] = f.wait()
+	}
+	return out
+}
+
 // tally records every world an experiment builds so RunAll can report its
-// simulated-cycle total without the experiments threading sums around.
+// simulated-cycle total without the experiments threading sums around, and
+// sums the host time its jobs spent inside pool slots.
 type tally struct {
 	mu     sync.Mutex
 	worlds []*sim.World
+	host   time.Duration
 }
 
 func (t *tally) add(w *sim.World) {
@@ -83,21 +104,29 @@ func (t *tally) add(w *sim.World) {
 	t.mu.Unlock()
 }
 
-// sum totals the final clocks. Call only after the experiment's Run has
-// returned (every job joined), so the clocks are quiescent.
-func (t *tally) sum() uint64 {
+func (t *tally) addHost(d time.Duration) {
+	t.mu.Lock()
+	t.host += d
+	t.mu.Unlock()
+}
+
+// sum totals the final clocks and the jobs' host time. Call only after the
+// experiment's Run has returned (every job joined), so the clocks are
+// quiescent.
+func (t *tally) sum() (cycles uint64, hostNS int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var total uint64
 	for _, w := range t.worlds {
-		total += uint64(w.Now())
+		cycles += uint64(w.Now())
 	}
-	return total
+	return cycles, t.host.Nanoseconds()
 }
 
 // Result is one experiment's outcome under RunAll: the rendered table plus
 // the two cost axes the bench record reports — simulated cycles (identical
-// for any shard count) and host wall time (the only axis sharding moves).
+// for any shard count) and host time, summed over the experiment's jobs
+// while each held a pool slot (queue wait excluded, so jobs that ran in
+// parallel each count in full).
 type Result struct {
 	Table     *Table
 	SimCycles uint64
@@ -108,8 +137,7 @@ type Result struct {
 // width and returns results in declaration order. Each experiment gets a
 // goroutine that only composes tables from job futures; the actual world
 // construction runs as pool jobs, so total concurrency is bounded by shards
-// regardless of how many experiments are in flight. HostNS includes queue
-// wait, which is the honest number for a shared pool.
+// regardless of how many experiments are in flight.
 func RunAll(opts Options, exps []Experiment, shards int) []Result {
 	p := newPool(shards)
 	out := make([]Result, len(exps))
@@ -123,9 +151,9 @@ func RunAll(opts Options, exps []Experiment, shards int) []Result {
 		wg.Add(1)
 		go func(i int, e Experiment, o Options) {
 			defer wg.Done()
-			start := time.Now()
 			tab := e.Run(o)
-			out[i] = Result{Table: tab, SimCycles: o.tally.sum(), HostNS: time.Since(start).Nanoseconds()}
+			cycles, host := o.tally.sum()
+			out[i] = Result{Table: tab, SimCycles: cycles, HostNS: host}
 		}(i, e, o)
 	}
 	wg.Wait()

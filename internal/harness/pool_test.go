@@ -2,8 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"overshadow/internal/obs"
 )
@@ -84,5 +86,63 @@ func TestRunAllSerialMatchesDirect(t *testing.T) {
 		if results[i].HostNS <= 0 {
 			t.Errorf("%s: RunAll reported non-positive host time", e.ID)
 		}
+	}
+}
+
+// TestHostNSExcludesQueueWait pins what HostNS measures: the time an
+// experiment's jobs spent inside pool slots. With one shard the jobs of all
+// experiments run one at a time, so their summed host time cannot exceed the
+// wall time of the whole run; a per-experiment clock that also counted the
+// wait for the slot would report close to the whole run for each.
+func TestHostNSExcludesQueueWait(t *testing.T) {
+	var exps []Experiment
+	for _, id := range []string{"E2", "E8", "E13"} {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("%s missing from the registry", id)
+		}
+		exps = append(exps, e)
+	}
+	start := time.Now()
+	results := RunAll(Options{Quick: true, Seed: 7}, exps, 1)
+	wall := time.Since(start).Nanoseconds()
+	var sum int64
+	for i, r := range results {
+		if r.HostNS <= 0 {
+			t.Errorf("%s: non-positive host time %d", exps[i].ID, r.HostNS)
+		}
+		sum += r.HostNS
+	}
+	if sum > wall {
+		t.Errorf("summed HostNS %d ns exceeds the %d ns wall time of a serial run", sum, wall)
+	}
+}
+
+// TestSweepKeepsItemOrder forces a 4-wide pool to finish its items in
+// reverse order — each job waits for the next item's job to finish — and
+// checks that sweep still returns results in item order.
+func TestSweepKeepsItemOrder(t *testing.T) {
+	const n = 4
+	gates := make([]chan struct{}, n)
+	for i := range gates {
+		gates[i] = make(chan struct{})
+	}
+	var finished []int // appended in gate order, so the gates serialize it
+	opts := Options{pool: newPool(n), tally: &tally{}}
+	got := sweep(opts, []int{0, 1, 2, 3}, func(_ Options, i int) int {
+		if i < n-1 {
+			<-gates[i]
+		}
+		finished = append(finished, i)
+		if i > 0 {
+			close(gates[i-1])
+		}
+		return 10 * i
+	})
+	if want := []int{0, 10, 20, 30}; !slices.Equal(got, want) {
+		t.Errorf("sweep returned %v, want item order %v", got, want)
+	}
+	if want := []int{3, 2, 1, 0}; !slices.Equal(finished, want) {
+		t.Errorf("jobs finished in order %v, want %v", finished, want)
 	}
 }

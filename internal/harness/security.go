@@ -31,14 +31,9 @@ func RunE8(opts Options) *Table {
 		attackRegisterTamper,
 		attackCrossProcessMap,
 	}
-	futs := make([]*future[attackOutcome], len(attacks))
-	for i, atk := range attacks {
-		futs[i] = submit(opts, atk)
-	}
-	outcomes := make([]attackOutcome, len(attacks))
-	for i, f := range futs {
-		outcomes[i] = f.wait()
-	}
+	outcomes := sweep(opts, attacks, func(o Options, atk func(Options) attackOutcome) attackOutcome {
+		return atk(o)
+	})
 	t := &Table{
 		ID:      "E8",
 		Title:   "Malicious-OS attack suite (1 = yes, 0 = no)",
@@ -61,7 +56,8 @@ func b2f(b bool) float64 {
 var e8secret = []byte("E8-SECRET-PAYLOAD-0123456789-ABCDEF")
 
 // attackSyscallSnoop: the kernel reads the victim's heap through the system
-// view at every syscall.
+// view at every syscall. Its "detected" verdict is set unconditionally, so
+// that column cannot fail on this row.
 func attackSyscallSnoop(opts Options) attackOutcome {
 	o := attackOutcome{name: "syscall-time memory snoop"}
 	sys := core.NewSystem(core.Config{MemoryPages: 512, Seed: opts.seed(), VCPUs: opts.VCPUs})
@@ -112,14 +108,12 @@ func attackMemoryTamper(opts Options) attackOutcome {
 			o.attempted = true
 		}
 	}
-	survived := false
 	sys.Register("victim", func(e core.Env) {
 		base := must1(e.Sbrk(1))
 		e.WriteMem(base, e8secret)
 		e.Null() // tamper point
 		got := make([]byte, len(e8secret))
 		e.ReadMem(base, got) // must kill the victim, not return garbage
-		survived = true
 		if !bytes.Equal(got, e8secret) {
 			o.corrupted = true
 		}
@@ -127,16 +121,7 @@ func attackMemoryTamper(opts Options) attackOutcome {
 	})
 	mustSpawn(sys, "victim")
 	sys.Run()
-	for _, ev := range sys.SecurityEvents() {
-		if ev.Kind == vmm.EventIntegrityViolation {
-			o.detected = true
-		}
-	}
-	if survived && o.detected {
-		// Victim continued *and* a violation fired — contained only if the
-		// data it read was intact (tamper hit an already-encrypted page and
-		// the page never verified). survived+equal data = fine.
-	}
+	o.detected = countEvents(sys, vmm.EventIntegrityViolation) > 0
 	return o
 }
 
@@ -151,7 +136,6 @@ func attackSwapTamper(opts Options) attackOutcome {
 			o.attempted = true
 		}
 	}
-	completed := false
 	sys.Register("victim", func(e core.Env) {
 		const pages = 200
 		base := must1(e.Alloc(pages))
@@ -163,20 +147,11 @@ func attackSwapTamper(opts Options) attackOutcome {
 				o.corrupted = true
 			}
 		}
-		completed = true
 		e.Exit(0)
 	})
 	mustSpawn(sys, "victim")
 	sys.Run()
-	if o.attempted && completed && !o.corrupted {
-		// Tampered page was never consumed (e.g. tamper hit a page that
-		// verified anyway?) — treat as not detected so it surfaces.
-	}
-	for _, ev := range sys.SecurityEvents() {
-		if ev.Kind == vmm.EventIntegrityViolation {
-			o.detected = true
-		}
-	}
+	o.detected = countEvents(sys, vmm.EventIntegrityViolation) > 0
 	return o
 }
 
@@ -206,7 +181,6 @@ func attackSwapReplayDrop(opts Options) attackOutcome {
 			}
 		}
 	}
-	completed := false
 	sys.Register("victim", func(e core.Env) {
 		const pages = 200
 		base := must1(e.Alloc(pages))
@@ -221,21 +195,18 @@ func attackSwapReplayDrop(opts Options) attackOutcome {
 				o.corrupted = true
 			}
 		}
-		completed = true
 		e.Exit(0)
 	})
 	mustSpawn(sys, "victim")
 	sys.Run()
-	_ = completed
-	for _, ev := range sys.SecurityEvents() {
-		if ev.Kind == vmm.EventIntegrityViolation {
-			o.detected = true
-		}
-	}
+	o.detected = countEvents(sys, vmm.EventIntegrityViolation) > 0
 	return o
 }
 
-// attackRegisterGrab: the kernel records register state at every trap.
+// attackRegisterGrab: the kernel records register state at every trap. The
+// victim never plants marker in its registers, so "plaintext leaked" is 0
+// whatever the trap path exposes, and "detected" is set unconditionally:
+// neither column can fail on this row.
 func attackRegisterGrab(opts Options) attackOutcome {
 	o := attackOutcome{name: "register harvest at traps"}
 	const marker = 0x5EC4E7C0DE
@@ -251,20 +222,13 @@ func attackRegisterGrab(opts Options) attackOutcome {
 		}
 	}
 	sys.Register("victim", func(e core.Env) {
-		if th, ok := e.(interface{ Thread() *vmm.Thread }); ok {
-			_ = th
-		}
-		// Plant the marker in protected registers via the kernel ctx if
-		// reachable; the shim hides Thread, so use a helper program shape:
-		// registers PC/SP are always scrubbed regardless of content.
+		// The shim hides the thread, so the program cannot plant marker in
+		// its own registers; it only traps.
 		for i := 0; i < 10; i++ {
 			e.Null()
 		}
 		e.Exit(0)
 	})
-	// Plant markers from the host side just before running: create the
-	// thread then set registers via a wrapper program is cleaner — instead
-	// run an uncloaked-style check through guestos directly below.
 	mustSpawn(sys, "victim")
 	sys.Run()
 	o.detected = true // scrubbing is unconditional
@@ -287,7 +251,6 @@ func attackRegisterTamper(opts Options) attackOutcome {
 		kregs.SP = 0xBADBAD   // and the (scrubbed) stack pointer
 		o.attempted = true
 	}
-	sawWrongValue := false
 	sys.Register("victim", func(e core.Env) {
 		// The register state is managed by the trap path itself; the body
 		// just has to make a syscall and keep functioning afterwards.
@@ -297,23 +260,19 @@ func attackRegisterTamper(opts Options) attackOutcome {
 		got := make([]byte, len(e8secret))
 		e.ReadMem(base, got)
 		if !bytes.Equal(got, e8secret) {
-			sawWrongValue = true
+			o.corrupted = true
 		}
 		e.Exit(0)
 	})
 	mustSpawn(sys, "victim")
 	sys.Run()
-	o.corrupted = sawWrongValue
-	for _, ev := range sys.SecurityEvents() {
-		if ev.Kind == vmm.EventCTCTamper {
-			o.detected = true
-		}
-	}
+	o.detected = countEvents(sys, vmm.EventCTCTamper) > 0
 	return o
 }
 
 // attackCrossProcessMap: the OS maps the victim's plaintext frame into a
-// colluding process.
+// colluding process. Its "detected" verdict is set unconditionally, so that
+// column cannot fail on this row.
 func attackCrossProcessMap(opts Options) attackOutcome {
 	o := attackOutcome{name: "cross-process frame remap"}
 	sys := core.NewSystem(core.Config{MemoryPages: 512, Seed: opts.seed(), VCPUs: opts.VCPUs})

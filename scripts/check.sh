@@ -77,10 +77,11 @@ echo "== race pass"
 # harness E17 run covers the adversary suites (scheduler races, tamper
 # storms, exhaustion floods) and E16 the migration sweep (capture under
 # load, faulted transfer, cross-vCPU restore), both at 1 and 4 vCPUs
-# under the detector; internal/migrate adds the codec fuzz and
+# under the detector; TestSweep checks the sweep primitive's result
+# collection on a 4-wide pool; internal/migrate adds the codec fuzz and
 # end-to-end migration suites.
 go test -race ./internal/guestos/... ./internal/core/... ./internal/vmm/ ./internal/migrate/
-go test -race ./internal/harness/ -run 'TestE17|TestE16'
+go test -race ./internal/harness/ -run 'TestE17|TestE16|TestSweep'
 
 echo "== shard determinism"
 # Sharding may change wall time only: every row's JSON must be byte-identical
@@ -98,6 +99,9 @@ echo "== shard determinism"
 #   profile    E2: per-world profiles merge additively and every export sorts
 #   crash      E14: a (seed, crash point) pair names one exact crashed world
 #   adversary  E17: attack schedules derive from (seed, plan name)
+#   sweeps     E8 and E16: the two scenario sweeps with no row of their own
+#              above; off the golden seeds, their sweep jobs must still
+#              collect in item order at any shard count
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 go build -o "$tmpdir/overbench" ./cmd/overbench
@@ -137,6 +141,7 @@ fault|E13|3 11||
 profile|E2|3 11||profile
 crash|E14|5 9||
 adversary|E17|1 23||
+sweeps|E8,E16|7 11||
 ROWS
 
 echo "== vcpus determinism"
