@@ -22,16 +22,13 @@
 //
 // Usage:
 //
-//	go run ./cmd/overlint [-json] [-baseline file] [packages]
+//	go run ./cmd/overlint [-json] [packages]
 //
 // Packages default to ./... . The exit status is 0 when the tree is clean,
 // 1 when findings are reported, and 2 when loading or analysis fails.
 // Findings can be suppressed, with a recorded justification, by
 // "//overlint:allow <analyzer> -- <reason>" on or directly above the
-// offending line. -baseline names a JSON findings file (as written by
-// -json, regenerated by scripts/lint-baseline.sh): recorded findings are
-// suppressed by (analyzer, file, message), ignoring line numbers, so a new
-// analyzer can land before its backlog is fully triaged.
+// offending line.
 package main
 
 import (
@@ -44,9 +41,8 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
-	baseline := flag.String("baseline", "", "JSON findings `file` whose entries are suppressed (matched by analyzer, file, and message)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: overlint [-json] [-baseline file] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: overlint [-json] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -63,7 +59,6 @@ func main() {
 	findings, err := lint.Run(os.Stdout, cwd, lint.Options{
 		Patterns: patterns,
 		JSON:     *jsonOut,
-		Baseline: *baseline,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "overlint:", err)

@@ -87,12 +87,6 @@ type Config struct {
 	VMM vmm.Options
 	// Shim configures cloaked-file policy and window size.
 	Shim shim.Options
-	// Retry bounds transient-failure retries machine-wide: the shim's
-	// secure-I/O and domain-setup hypercalls and the live-migration
-	// transfer channel all back off on this one schedule. The zero value
-	// resolves to the historical 3-retry 20k/40k/80k-cycle schedule, so
-	// existing configurations stay byte-identical.
-	Retry sim.RetryPolicy
 	// Fault activates deterministic fault injection (nil = no faults). The
 	// injector is seeded from Seed, so a (Seed, Plan) pair names one exact
 	// fault schedule; see internal/fault and experiment E13.
@@ -126,7 +120,7 @@ type System struct {
 	cfg Config // resolved configuration, kept for Run and Reboot
 }
 
-// resolve fills in config defaults, including the journal geometry.
+// resolve fills in config defaults.
 func (cfg Config) resolve() Config {
 	if cfg.MemoryPages == 0 {
 		cfg.MemoryPages = 16384
@@ -145,15 +139,7 @@ func (cfg Config) resolve() Config {
 	}
 	if cfg.Persist != nil {
 		p := *cfg.Persist // private copy: callers may share an Options
-		if p.Blocks == 0 {
-			p.Blocks = 256
-		}
 		cfg.Persist = &p
-	}
-	// One machine-wide retry policy: the shim inherits Config.Retry unless
-	// the caller set a shim-specific override explicitly.
-	if cfg.Shim.Retry == (sim.RetryPolicy{}) {
-		cfg.Shim.Retry = cfg.Retry
 	}
 	return cfg
 }
@@ -188,9 +174,9 @@ func NewSystem(cfg Config) *System {
 		// [0, SwapPages) and the journal owns the reserved tail range. One
 		// surviving medium then carries both the sealed metadata and the
 		// ciphertext it locates.
-		swapDisk = mach.NewDisk(world, cfg.SwapPages+cfg.Persist.Blocks)
+		swapDisk = mach.NewDisk(world, cfg.SwapPages+persist.JournalBlocks)
 		j, jerr := persist.NewJournal(world, swapDisk, cfg.SwapPages,
-			cfg.Persist.Blocks, persist.SealKey(cfg.Seed), *cfg.Persist)
+			persist.JournalBlocks, persist.SealKey(cfg.Seed), *cfg.Persist)
 		if jerr != nil {
 			panic(jerr)
 		}
@@ -336,10 +322,6 @@ func (s *System) ReadGuestFile(path string) ([]byte, error) {
 // checkpoint sealing key is derived from the seed, so source and
 // destination must agree on it for a transfer to verify.
 func (s *System) Seed() uint64 { return s.cfg.Seed }
-
-// RetryPolicy reports the machine's resolved transient-retry schedule,
-// shared by the shim and the migration transfer channel.
-func (s *System) RetryPolicy() sim.RetryPolicy { return s.cfg.Retry.Resolve() }
 
 // PersistOptions returns a copy of the resolved journal options (nil when
 // persistence is off). Migration restore re-seals the adopted table under

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"overshadow/internal/fault"
 	"overshadow/internal/persist"
@@ -237,6 +239,48 @@ func TestCrashDuringQuiesceContained(t *testing.T) {
 	}
 	if !rep.Anchored {
 		t.Fatal("mid-quiesce crash unanchored the journal")
+	}
+}
+
+// TestCrashReleasesParkedTasks: a crash unwinds only the task that took it;
+// every other task goroutine is parked on its baton. Run must release and
+// wait for all of them, so crashing a four-task machine leaves no goroutine
+// behind. The early deadline fires inside a task's first dispatch, with the
+// other tasks parked before their first schedule; the mid-run one catches
+// tasks parked in a context switch.
+func TestCrashReleasesParkedTasks(t *testing.T) {
+	const tasks, pages = 4, 24
+	cfg := crashConfig(9)
+	spawnAll := func(sys *System) {
+		sys.Register("app", swapHeavyApp(pages))
+		for i := 0; i < tasks; i++ {
+			if _, err := sys.Spawn("app", Cloaked()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	probe := NewSystem(cfg)
+	spawnAll(probe)
+	probe.Run()
+	total := probe.Now()
+
+	for _, at := range []sim.Cycles{total / 100, total / 2} {
+		before := runtime.NumGoroutine()
+		cfg.CrashAt = at
+		sys := NewSystem(cfg)
+		spawnAll(sys)
+		sys.Run()
+		if !sys.Crashed() {
+			t.Fatalf("crash at %d did not fire", at)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("crash at %d: %d goroutines, %d before boot: parked tasks leaked",
+					at, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 

@@ -29,9 +29,9 @@ func observedRun(t *testing.T, seed uint64) ([]obs.Span, obs.RingStats, *obs.Met
 	t.Helper()
 	sys := core.NewSystem(core.Config{MemoryPages: 1024, Seed: seed})
 	sys.World.EnableTrace(1 << 14)
-	m := sys.World.EnableMetrics(nil)
+	m := sys.World.EnableMetrics()
 	sys.World.SetPhase("golden")
-	p := sys.World.EnableProfile(nil)
+	p := sys.World.EnableProfile()
 	sys.Register("golden", func(e core.Env) {
 		buf, err := e.Alloc(2)
 		if err != nil {

@@ -94,10 +94,6 @@ func (r *RecoveryReport) RollbackRejections() int {
 	return r.Replay.RejectedBy(persist.RejectRollback)
 }
 
-// swapReadAttempts mirrors the guest pager's bounded-retry policy for
-// recovery-time ciphertext reads.
-const swapReadAttempts = 3
-
 // Reboot powers on a fresh machine over the disk that survived prev's
 // crash. It replays the sealed metadata journal (refusing torn, corrupt,
 // stale, and rolled-back records with typed errors — never a panic),
@@ -154,13 +150,7 @@ func Reboot(prev *System) (*System, *RecoveryReport, error) {
 		case e.LocVersion != e.Meta.Version:
 			out.State = StaleLocation
 		default:
-			var rerr error
-			for try := 0; try < swapReadAttempts; try++ {
-				if rerr = disk.Read(e.Block, buf); rerr == nil {
-					break
-				}
-			}
-			if rerr != nil {
+			if rerr := disk.ReadRetry(e.Block, buf); rerr != nil {
 				out.State = ReadError
 				out.Err = rerr
 				break

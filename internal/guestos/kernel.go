@@ -2,6 +2,8 @@ package guestos
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"overshadow/internal/mach"
 	"overshadow/internal/obs"
@@ -22,13 +24,15 @@ type Program func(Env)
 // directly (the shim builds on guestos), so the dependency is inverted.
 type CloakRuntime func(uc *UserCtx, body Program)
 
+// MaxFDs is the per-process fd table size.
+const MaxFDs = 64
+
 // Config sizes and parameterizes the guest kernel.
 type Config struct {
 	MemoryPages int        // guest-physical memory size
 	SwapPages   uint64     // swap device capacity
 	FSDiskPages uint64     // filesystem device capacity
 	Quantum     sim.Cycles // scheduler time slice (0 = default 400k cycles)
-	MaxFDs      int        // per-process fd table size (0 = 64)
 	// SwapDisk, when non-nil, is a pre-built swap device (possibly larger
 	// than SwapPages; the pager uses only the first SwapPages blocks). The
 	// embedding host uses this to co-locate the VMM's metadata journal on
@@ -78,6 +82,9 @@ type Kernel struct {
 	crashed   bool // a sim.Crash deadline fired; machine stopped mid-flight
 	done      chan struct{}
 	panicked  any // first panic escaping a process goroutine, re-raised in Run
+	// tasks counts live task goroutines; Run waits for it to drain, so no
+	// task goroutine outlives the machine.
+	tasks sync.WaitGroup
 
 	// migrateAt/migrateFn are the one-shot live-migration hook (see
 	// SetMigrationHook); fired from fireMigrationHook at the machine's
@@ -93,9 +100,6 @@ func NewKernel(world *sim.World, hv *vmm.VMM, cfg Config) *Kernel {
 	}
 	if cfg.Quantum == 0 {
 		cfg.Quantum = 400_000
-	}
-	if cfg.MaxFDs == 0 {
-		cfg.MaxFDs = 64
 	}
 	if cfg.SwapPages == 0 {
 		cfg.SwapPages = 4096
@@ -206,16 +210,24 @@ func (k *Kernel) Run() {
 	first.baton <- struct{}{}
 	<-k.done
 	if k.panicked != nil {
+		// Only the goroutine that panicked unwinds on its own; every other
+		// task is parked on its baton and would stay blocked for the life
+		// of the host process. Closing each live task's baton is the halt
+		// sentinel: a parked goroutine wakes to it and exits on the spot.
+		// Closing the panicking task's own baton is harmless, since it
+		// never receives again.
+		for pid := Pid(1); pid <= k.nextPid; pid++ {
+			if p := k.procs[pid]; p != nil {
+				close(p.baton)
+			}
+		}
+	}
+	k.tasks.Wait()
+	if k.panicked != nil {
 		if sim.IsCrash(k.panicked) {
 			// Whole-machine crash: the world stopped at an exact cycle. This
 			// is a deliberate simulation event, not a bug — the machine
-			// simply ends with its disks frozen as-is. Only the goroutine
-			// that took the Crash unwinds: its deferred recover in
-			// startProcGoroutine records it and returns. Every other task
-			// goroutine stays blocked on its baton for the life of the host
-			// process, since nothing sends to it again and Go never
-			// collects a blocked goroutine: one goroutine per task parked
-			// at the crash.
+			// simply ends with its disks frozen as-is.
 			k.crashed = true
 			k.panicked = nil
 			return
@@ -440,7 +452,9 @@ func (k *Kernel) switchTo(next *Proc, cur *Proc, park bool) {
 	next.state = stateRunning
 	next.baton <- struct{}{}
 	if park {
-		<-cur.baton
+		if _, ok := <-cur.baton; !ok {
+			runtime.Goexit() // halted while parked: the machine stopped
+		}
 		k.current = cur
 	}
 }

@@ -116,10 +116,6 @@ func (a *gppnAllocator) freePages() int { return len(a.freeList) }
 
 // --- Swap ------------------------------------------------------------------
 
-// swapReadAttempts bounds the kernel-side retry of a failed swap read before
-// the page-in gives up with EIO.
-const swapReadAttempts = 3
-
 // swapSpace is the swap device plus its slot allocator.
 type swapSpace struct {
 	disk     *mach.Disk
@@ -399,13 +395,7 @@ func (k *Kernel) pageInSwap(p *Proc, vpn uint64, v *VMA, blk uint64) Errno {
 	// surfaced: a real kernel's block layer does the same, and the E13
 	// degradation scenarios rely on the distinction between one bad read
 	// and a persistently failing device.
-	var readErr error
-	for attempt := 0; attempt < swapReadAttempts; attempt++ {
-		if readErr = k.swap.disk.Read(blk, buf); readErr == nil {
-			break
-		}
-	}
-	if readErr != nil {
+	if err := k.swap.disk.ReadRetry(blk, buf); err != nil {
 		k.mem.release(g)
 		k.mem.free(g)
 		return EIO

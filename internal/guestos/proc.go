@@ -98,7 +98,7 @@ type Proc struct {
 	home int
 
 	sliceStart sim.Cycles
-	baton      chan struct{}
+	baton      chan struct{} // a send hands over the CPU; close halts the task
 
 	// userCtx is the kernel-level environment handle (shim wraps it for
 	// cloaked processes).
@@ -141,7 +141,7 @@ func (k *Kernel) newProc(ppid Pid, cloaked bool, name string, args []string) *Pr
 		gpt:         gpt,
 		as:          k.vmm.CreateAddressSpace(gpt),
 		swapped:     make(map[uint64]uint64),
-		fds:         make([]*FileDesc, k.cfg.MaxFDs),
+		fds:         make([]*FileDesc, MaxFDs),
 		children:    make(map[Pid]*Proc),
 		sigHandlers: make(map[Signal]SigHandler),
 		brk:         LayoutHeapBase,
@@ -212,12 +212,13 @@ func (p *Proc) setupStandardVMAs() {
 // whenever it holds the scheduler baton.
 func (k *Kernel) startProcGoroutine(p *Proc, runner func(*UserCtx)) {
 	p.thread = k.vmm.CreateThread(0)
+	k.tasks.Add(1)
 	//overlint:allow determinism -- baton-scheduled: the goroutine runs only while holding p.baton, so exactly one task executes at a time
 	go func() {
-		<-p.baton // wait to be scheduled the first time
-		p.state = stateRunning
-		p.sliceStart = k.world.Now()
-		k.vmm.SwitchContext(p.as, vmm.ViewApp)
+		defer k.tasks.Done()
+		if _, ok := <-p.baton; !ok { // wait to be scheduled the first time
+			return // halted before it ever ran
+		}
 		defer func() {
 			r := recover()
 			if r == nil {
@@ -237,6 +238,11 @@ func (k *Kernel) startProcGoroutine(p *Proc, runner func(*UserCtx)) {
 				close(k.done)
 			}
 		}()
+		// The first dispatch charges a context switch, so a crash deadline
+		// can fire here: it unwinds through the recover above.
+		p.state = stateRunning
+		p.sliceStart = k.world.Now()
+		k.vmm.SwitchContext(p.as, vmm.ViewApp)
 		for {
 			// Run one image; exec unwinds it with the execReplace sentinel
 			// and leaves the next image in p.execNext.

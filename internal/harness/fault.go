@@ -162,7 +162,7 @@ func runFaultScenario(opts Options, sc faultScenario) faultOutcome {
 	opts.observe(sys.World, "fault/"+sc.name)
 	prof := sys.World.Profile()
 	if prof == nil {
-		prof = sys.World.EnableProfile(nil) // the retry histogram needs spans even unobserved
+		prof = sys.World.EnableProfile() // the retry histogram needs spans even unobserved
 	}
 
 	victimPages := opts.scale(160, 120)

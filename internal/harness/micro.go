@@ -328,7 +328,7 @@ func e2Primitives(opts Options) []Row {
 	opts.observe(w, "E2/primitives")
 	met := w.Metrics
 	if met == nil {
-		met = w.EnableMetrics(nil) // breakdown columns need attribution even unobserved
+		met = w.EnableMetrics() // breakdown columns need attribution even unobserved
 	}
 	hv := must1(vmm.New(w, vmm.Config{GuestPages: 64}))
 	as := hv.CreateAddressSpace(mmu.NewPageTable())
@@ -398,11 +398,11 @@ func e2Probe(opts Options) e2Result {
 	opts.observe(sys.World, "E2/probe")
 	met := sys.World.Metrics
 	if met == nil {
-		met = sys.World.EnableMetrics(nil)
+		met = sys.World.EnableMetrics()
 	}
 	prof := sys.World.Profile()
 	if prof == nil {
-		prof = sys.World.EnableProfile(nil) // latency rows need spans even unobserved
+		prof = sys.World.EnableProfile() // latency rows need spans even unobserved
 	}
 	before := met.TotalsSorted()
 	sys.Register("probe", func(e core.Env) {

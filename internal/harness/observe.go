@@ -41,7 +41,7 @@ type obsSlot struct {
 // store, the phase label for attribution, and (optionally) a span ring.
 // Safe to call from concurrent benchmark jobs.
 func (ob *Observer) attach(w *sim.World, phase string, key uint64) {
-	store := w.EnableMetrics(nil)
+	store := w.EnableMetrics()
 	w.SetPhase(phase)
 	if ob.TraceCap > 0 {
 		w.EnableTrace(ob.TraceCap)
@@ -49,7 +49,7 @@ func (ob *Observer) attach(w *sim.World, phase string, key uint64) {
 	if ob.Profile {
 		// After SetPhase: the profiler roots each world's stacks at the
 		// phase label current at enable time.
-		w.EnableProfile(nil)
+		w.EnableProfile()
 	}
 	ob.mu.Lock()
 	ob.slots = append(ob.slots, obsSlot{key: key, world: w, store: store})

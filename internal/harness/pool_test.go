@@ -68,6 +68,41 @@ func TestShardDeterminism(t *testing.T) {
 	}
 }
 
+// TestShardProfileDeterminism: the merged sim-time profile is byte-identical
+// at any shard count. E2 exercises the plain phase roots, E13 the retry
+// spans, E16 the migration spans; profiles from many worlds are folded by
+// Observer.MergedProfile, so sharding changes only which worker built each.
+func TestShardProfileDeterminism(t *testing.T) {
+	var exps []Experiment
+	for _, id := range []string{"E2", "E13", "E16"} {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("no experiment %s", id)
+		}
+		exps = append(exps, e)
+	}
+	render := func(seed uint64, shards int) string {
+		ob := &Observer{Profile: true}
+		RunAll(Options{Quick: true, Seed: seed, Observe: ob}, exps, shards)
+		var buf bytes.Buffer
+		if err := obs.WriteProfileJSON(&buf, obs.BuildProfileJSON(ob.MergedProfile())); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for _, seed := range []uint64{1, 42} {
+		serial, sharded := render(seed, 1), render(seed, 4)
+		if serial != sharded {
+			t.Errorf("seed %d: profile JSON differs between -shards 1 and -shards 4", seed)
+		}
+		for _, phase := range []string{"E2/", "fault/", "migrate/", "land/"} {
+			if !strings.Contains(serial, phase) {
+				t.Errorf("seed %d: profile has no %s phase root", seed, phase)
+			}
+		}
+	}
+}
+
 // TestRunAllSerialMatchesDirect pins the back-compat contract: RunAll with
 // one shard produces the same tables as calling each experiment directly
 // (the path the per-experiment shape tests use).

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -20,17 +19,10 @@ type Options struct {
 	JSON bool
 	// Analyzers overrides the production analyzer set (tests).
 	Analyzers []*Analyzer
-	// Baseline, when non-empty, names a JSON findings file (as written by
-	// -json); current findings matching a baseline entry by analyzer, file,
-	// and message are suppressed. Line and column are deliberately ignored so
-	// unrelated edits that shift code do not churn the baseline. The file is
-	// how a new analyzer lands before its backlog is fully triaged:
-	// scripts/lint-baseline.sh regenerates it, review shrinks it.
-	Baseline string
 }
 
 // Run loads the module rooted at or above dir, runs the analyzers over the
-// selected packages, and writes findings to w. It returns the surviving
+// selected packages, and writes findings to w. It returns the reported
 // findings; a non-nil error means the load itself failed.
 func Run(w io.Writer, dir string, opts Options) ([]Finding, error) {
 	loader, err := NewLoader(dir)
@@ -58,44 +50,10 @@ func Run(w io.Writer, dir string, opts Options) ([]Finding, error) {
 	}
 	findings := Analyze(loader, pkgs, opts.Analyzers, opts.Patterns)
 	relativize(findings, dir)
-	if opts.Baseline != "" {
-		findings, err = applyBaseline(findings, opts.Baseline)
-		if err != nil {
-			return nil, err
-		}
-	}
 	if err := Render(w, findings, opts.JSON); err != nil {
 		return nil, err
 	}
 	return findings, nil
-}
-
-// applyBaseline drops findings recorded in the baseline file, matching on
-// (analyzer, file, message) and ignoring position.
-func applyBaseline(findings []Finding, path string) ([]Finding, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var base []Finding
-	if err := json.Unmarshal(data, &base); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	known := make(map[string]bool, len(base))
-	for _, f := range base {
-		known[baselineKey(f)] = true
-	}
-	kept := findings[:0]
-	for _, f := range findings {
-		if !known[baselineKey(f)] {
-			kept = append(kept, f)
-		}
-	}
-	return kept, nil
-}
-
-func baselineKey(f Finding) string {
-	return f.Analyzer + "\x00" + f.File + "\x00" + f.Message
 }
 
 // Analyze runs the analyzers (production set if nil) over every package

@@ -3,8 +3,6 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -201,47 +199,5 @@ func TestMatchPattern(t *testing.T) {
 		if got := matchPattern(c.pattern, mod, c.pkg); got != c.want {
 			t.Errorf("matchPattern(%q, %q) = %v, want %v", c.pattern, c.pkg, got, c.want)
 		}
-	}
-}
-
-// TestApplyBaseline pins the baseline matching rule: analyzer+file+message,
-// position ignored, unknown findings kept.
-func TestApplyBaseline(t *testing.T) {
-	base := []Finding{{
-		Analyzer: "hotpathalloc",
-		File:     "internal/x/y.go",
-		Line:     10,
-		Message:  "make (heap allocation) on hot path (F)",
-	}}
-	data, err := json.Marshal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "base.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	in := []Finding{
-		// Same analyzer/file/message at a different line: suppressed.
-		{Analyzer: "hotpathalloc", File: "internal/x/y.go", Line: 99, Message: "make (heap allocation) on hot path (F)"},
-		// Different message: kept.
-		{Analyzer: "hotpathalloc", File: "internal/x/y.go", Line: 10, Message: "new (heap allocation) on hot path (F)"},
-		// Different file: kept.
-		{Analyzer: "hotpathalloc", File: "internal/x/z.go", Line: 10, Message: "make (heap allocation) on hot path (F)"},
-	}
-	out, err := applyBaseline(in, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("applyBaseline kept %d findings, want 2: %v", len(out), out)
-	}
-	for _, f := range out {
-		if f.Line == 99 {
-			t.Error("baseline must match by message, ignoring line numbers")
-		}
-	}
-	if _, err := applyBaseline(in, filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing baseline file must be an error, not an empty baseline")
 	}
 }

@@ -90,7 +90,7 @@ func (d *Device) observe(mpn mach.MPN) {
 // meticulously stack-attributed by the profiler still never advanced the
 // simulated clock, so it is flagged like any other free touch.
 func (d *Device) BadProfiled(mpn mach.MPN) byte { // want `BadProfiled reaches guest memory without charging`
-	d.world.EnableProfile(nil)
+	d.world.EnableProfile()
 	sp := d.world.CPU().Begin(obs.KindDisk, "read", uint64(mpn))
 	defer sp.End()
 	return d.mem.Page(mpn)[0]
@@ -98,7 +98,7 @@ func (d *Device) BadProfiled(mpn mach.MPN) byte { // want `BadProfiled reaches g
 
 // Profiling alongside a real charge is fine — the charge is the evidence.
 func (d *Device) GoodProfiled(mpn mach.MPN) byte {
-	d.world.EnableProfile(nil)
+	d.world.EnableProfile()
 	d.world.CPU().Charge(d.world.Cost.MemAccess)
 	return d.mem.Page(mpn)[0]
 }

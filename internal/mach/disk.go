@@ -64,6 +64,24 @@ func (d *Disk) Read(blk uint64, dst []byte) error {
 	return nil
 }
 
+// ReadAttempts bounds ReadRetry: a failing block read is tried this many
+// times, without backoff, before the error is surfaced.
+const ReadAttempts = 3
+
+// ReadRetry is Read with a bounded retry: a transient error gets another
+// try, so one bad read is told apart from a persistently failing device.
+// The guest pager, journal replay and crash recovery read through it. It
+// returns the last error when every attempt fails.
+func (d *Disk) ReadRetry(blk uint64, dst []byte) error {
+	var err error
+	for try := 0; try < ReadAttempts; try++ {
+		if err = d.Read(blk, dst); err == nil {
+			return nil
+		}
+	}
+	return err
+}
+
 // Write stores src (len >= BlockSize) into block blk and charges latency.
 func (d *Disk) Write(blk uint64, src []byte) error {
 	if blk >= d.nblk {

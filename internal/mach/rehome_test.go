@@ -112,3 +112,29 @@ func TestRehomeAllowedOtherwise(t *testing.T) {
 		t.Fatalf("same-world rehome mid-schedule: %v", err)
 	}
 }
+
+// TestReadRetryBounded: a device whose every read fails is read exactly
+// ReadAttempts times before ReadRetry gives up with ErrIO, each attempt
+// charged; under a fault-free plan it reads once.
+func TestReadRetryBounded(t *testing.T) {
+	w := testWorld()
+	w.Fault = fault.NewInjector(1, diskPlan(fault.Rate{FailPerMille: 1000}))
+	d := NewDisk(w, 4)
+	buf := make([]byte, BlockSize)
+	if err := d.ReadRetry(2, buf); !errors.Is(err, ErrIO) {
+		t.Fatalf("ReadRetry on a failing device: err=%v, want ErrIO", err)
+	}
+	if got := w.Stats.Get(sim.CtrDiskRead); got != ReadAttempts {
+		t.Fatalf("failing device read %d times, want %d", got, ReadAttempts)
+	}
+
+	w = testWorld()
+	w.Fault = fault.NewInjector(1, fault.Plan{})
+	d = NewDisk(w, 4)
+	if err := d.ReadRetry(2, buf); err != nil {
+		t.Fatalf("ReadRetry on a healthy device: %v", err)
+	}
+	if got := w.Stats.Get(sim.CtrDiskRead); got != 1 {
+		t.Fatalf("healthy device read %d times, want 1", got)
+	}
+}

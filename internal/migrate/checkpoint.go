@@ -63,7 +63,6 @@ func Capture(sys *core.System, d cloak.DomainID) (*Checkpoint, error) {
 		resident[rp.ID] = rp.Data
 	}
 
-	pol := sys.RetryPolicy()
 	disk := sys.Kernel.SwapDisk()
 	cpu := sys.World.CPU()
 	buf := make([]byte, mach.BlockSize)
@@ -84,16 +83,11 @@ func Capture(sys *core.System, d cloak.DomainID) (*Checkpoint, error) {
 			// injectable) swap device, retrying transient read failures on
 			// the machine's one retry schedule.
 			var rerr error
-			backoff := pol.BackoffBase
 			for attempt := 0; ; attempt++ {
-				if rerr = disk.Read(te.Entry.Block, buf); rerr == nil {
+				if rerr = disk.Read(te.Entry.Block, buf); rerr == nil || attempt == sim.RetryAttempts {
 					break
 				}
-				if attempt == pol.Attempts {
-					break
-				}
-				cpu.ChargeAdd(backoff, sim.CtrMigrateRetry, 1)
-				backoff *= sim.Cycles(pol.BackoffMult)
+				cpu.ChargeAdd(sim.RetryBackoff(attempt), sim.CtrMigrateRetry, 1)
 			}
 			if rerr != nil {
 				p.Gap = GapReadError

@@ -22,8 +22,8 @@
 // Failure directions are typed, never a panic:
 //
 //   - lost or torn transfer frames retry with bounded sim-clock backoff
-//     (the machine-wide sim.RetryPolicy) and then abort with
-//     ErrTransferAborted — the source keeps running, unharmed;
+//     (sim.RetryAttempts retries, paced by sim.RetryBackoff) and then abort
+//     with ErrTransferAborted — the source keeps running, unharmed;
 //   - corrupted frames are delivered and refused at the destination: a
 //     damaged record fails its MAC (a persist.Rejection), a damaged
 //     ciphertext blob fails hash verification (typed unavailable page),

@@ -44,7 +44,6 @@ func Transfer(sys *core.System, ckpt *Checkpoint) ([]byte, TransferStats, error)
 	// trailer) x RecordSize, the rest is whole ciphertext pages.
 	recBytes := (2 + len(ckpt.Pages) + len(ckpt.Threads)) * RecordSize
 
-	pol := sys.RetryPolicy()
 	cpu := sys.World.CPU()
 	cost := sys.World.Cost
 	cpu.ChargeAdd(cost.TransferSetup, sim.CtrMigrateXfer, 0)
@@ -57,7 +56,6 @@ func Transfer(sys *core.System, ckpt *Checkpoint) ([]byte, TransferStats, error)
 			size = mach.PageSize
 		}
 		frame := out[off : off+size]
-		backoff := pol.BackoffBase
 		for attempt := 0; ; attempt++ {
 			cpu.ChargeAdd(sim.Cycles(size)*cost.TransferPerByte, sim.CtrMigrateXfer, 0)
 			kind, _ := cpu.InjectAt(fault.SiteTransfer)
@@ -74,13 +72,12 @@ func Transfer(sys *core.System, ckpt *Checkpoint) ([]byte, TransferStats, error)
 			// Fail: the frame vanished. Torn: a prefix arrived, then the
 			// connection dropped — the partial frame is discarded and the
 			// whole frame re-sent. Both consume a retry.
-			if attempt == pol.Attempts {
+			if attempt == sim.RetryAttempts {
 				return nil, stats, fmt.Errorf("%w: frame at byte %d lost %d times (%s)",
 					ErrTransferAborted, off, attempt+1, kind)
 			}
 			stats.Retries++
-			cpu.ChargeAdd(backoff, sim.CtrMigrateRetry, 1)
-			backoff *= sim.Cycles(pol.BackoffMult)
+			cpu.ChargeAdd(sim.RetryBackoff(attempt), sim.CtrMigrateRetry, 1)
 		}
 		stats.Frames++
 		stats.Bytes += size

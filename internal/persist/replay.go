@@ -116,21 +116,6 @@ func (r *Result) PageIDs() []cloak.PageID {
 	return ids
 }
 
-// replayReadAttempts bounds retries of a failing journal sector read,
-// mirroring the guest pager's policy for swap reads.
-const replayReadAttempts = 3
-
-// readBlock reads one journal block with bounded retries.
-func readBlock(disk *mach.Disk, blk uint64, dst []byte) error {
-	var err error
-	for try := 0; try < replayReadAttempts; try++ {
-		if err = disk.Read(blk, dst); err == nil {
-			return nil
-		}
-	}
-	return err
-}
-
 // Replay walks the reserved range [base, base+blocks) of disk and
 // reconstructs the metadata table committed there. It is the read half of
 // the journal: superblock → checkpoint → log, in that order, refusing (with
@@ -159,7 +144,7 @@ func Replay(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte
 	var buf [mach.BlockSize]byte
 	var super Record
 	for slot := uint64(0); slot < superSlots; slot++ {
-		if err := readBlock(disk, base+slot, buf[:]); err != nil {
+		if err := disk.ReadRetry(base+slot, buf[:]); err != nil {
 			res.reject(world, Rejection{Phase: "super", Block: base + slot, Reason: RejectReadError})
 			continue
 		}
@@ -197,7 +182,7 @@ func Replay(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte
 		blk := slotBase + i/RecordsPerBlock
 		off := (i % RecordsPerBlock) * RecordSize
 		if off == 0 {
-			if err := readBlock(disk, blk, buf[:]); err != nil {
+			if err := disk.ReadRetry(blk, buf[:]); err != nil {
 				res.reject(world, Rejection{Phase: "checkpoint", Block: blk, Slot: i, Reason: RejectReadError})
 				// Poison the buffer so stale data from the previous block
 				// cannot be mistaken for this block's records.
@@ -238,7 +223,7 @@ func Replay(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte
 		blk := logStart + i/RecordsPerBlock
 		off := (i % RecordsPerBlock) * RecordSize
 		if off == 0 {
-			if err := readBlock(disk, blk, buf[:]); err != nil {
+			if err := disk.ReadRetry(blk, buf[:]); err != nil {
 				res.reject(world, Rejection{Phase: "log", Block: blk, Slot: i, Reason: RejectReadError})
 				return res
 			}

@@ -39,12 +39,6 @@ type Options struct {
 	CloakPath func(path string) bool
 	// WindowPages is the size of a cloaked file window (default 64 pages).
 	WindowPages uint64
-	// Retry bounds the transient-failure retry schedule of secure I/O and
-	// domain setup (see retry.go). The zero value resolves to the
-	// historical 3-retry 20k/40k/80k-cycle schedule, keeping all existing
-	// exports byte-identical; core.Config.Retry plumbs one policy to both
-	// the shim and the migration transfer path.
-	Retry sim.RetryPolicy
 }
 
 func (o Options) cloaks(path string) bool {

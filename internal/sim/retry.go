@@ -1,41 +1,12 @@
 package sim
 
-// RetryPolicy bounds how a component retries transient failures: the shim's
-// secure-I/O and domain-setup hypercalls, and the migration transfer channel,
-// both back off on the *simulated* clock, so the retry schedule is part of
-// the deterministic machine. The zero value resolves to the historical
-// hardcoded schedule (3 retries at 20k/40k/80k cycles), which keeps every
-// pre-existing export byte-identical when callers leave the policy unset.
-type RetryPolicy struct {
-	// Attempts is the number of retries after the first try (0 = default 3).
-	Attempts int
-	// BackoffBase is the simulated-cycle pause before the first retry
-	// (0 = default 20000 cycles).
-	BackoffBase Cycles
-	// BackoffMult multiplies the pause between consecutive retries
-	// (0 = default 2: exponential doubling).
-	BackoffMult int
-}
+// RetryAttempts is the number of retries after the first try that the
+// shim's secure-I/O and domain-setup hypercalls, the migration transfer
+// channel and migration's swap reads allow a transient failure. All of them
+// back off on the *simulated* clock, so the schedule is part of the
+// deterministic machine.
+const RetryAttempts = 3
 
-// Default retry schedule, shared by the shim and the migration transfer.
-const (
-	defaultRetryAttempts    = 3
-	defaultRetryBackoffBase = Cycles(20_000)
-	defaultRetryBackoffMult = 2
-)
-
-// Resolve fills in the defaults for unset fields. Negative values are
-// clamped to their defaults too: a negative budget is a configuration
-// mistake, not a request for unbounded retries.
-func (p RetryPolicy) Resolve() RetryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = defaultRetryAttempts
-	}
-	if p.BackoffBase <= 0 {
-		p.BackoffBase = defaultRetryBackoffBase
-	}
-	if p.BackoffMult <= 0 {
-		p.BackoffMult = defaultRetryBackoffMult
-	}
-	return p
-}
+// RetryBackoff is the simulated-cycle pause before retry number attempt
+// (counting from 0): 20k, 40k, 80k cycles.
+func RetryBackoff(attempt int) Cycles { return 20_000 << attempt }

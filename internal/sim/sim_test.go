@@ -25,6 +25,16 @@ func TestClockAdvance(t *testing.T) {
 	}
 }
 
+// TestRetryBackoff pins the machine's one retry schedule: the pause doubles
+// from 20k cycles.
+func TestRetryBackoff(t *testing.T) {
+	for attempt, want := range []Cycles{20_000, 40_000, 80_000} {
+		if got := RetryBackoff(attempt); got != want {
+			t.Errorf("RetryBackoff(%d) = %d, want %d", attempt, got, want)
+		}
+	}
+}
+
 func TestCyclesString(t *testing.T) {
 	cases := []struct {
 		in   Cycles

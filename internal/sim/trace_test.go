@@ -144,7 +144,7 @@ func TestEnableTraceDefaultCap(t *testing.T) {
 
 func TestAttributedChargesBucketPerTask(t *testing.T) {
 	w := NewWorld(DefaultCostModel(), 1)
-	m := w.EnableMetrics(nil)
+	m := w.EnableMetrics()
 	w.Boot().SetTask(1, 1, "a", 0, false)
 	w.Boot().ChargeCount(100, CtrSyscall)
 	w.Boot().SetTask(2, 2, "b", 0, false)
@@ -187,20 +187,5 @@ func TestChargeAddZeroEventsKeepsStatsClean(t *testing.T) {
 	}
 	if uint64(w.Now()) != 500 {
 		t.Fatal("cycles not charged")
-	}
-}
-
-func TestMetricsSharedAcrossWorlds(t *testing.T) {
-	m := obs.NewMetrics()
-	w1 := NewWorld(DefaultCostModel(), 1)
-	w2 := NewWorld(DefaultCostModel(), 2)
-	w1.EnableMetrics(m)
-	w2.EnableMetrics(m)
-	w1.SetPhase("native")
-	w1.Boot().Charge(10)
-	w2.SetPhase("cloaked")
-	w2.Boot().Charge(20)
-	if m.TotalCycles() != 30 {
-		t.Fatalf("shared metrics total = %d", m.TotalCycles())
 	}
 }

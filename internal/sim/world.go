@@ -112,16 +112,11 @@ func (w *World) VCPUs() []*VCPU { return w.vcpus }
 // NumVCPUs reports the vCPU count.
 func (w *World) NumVCPUs() int { return len(w.vcpus) }
 
-// EnableMetrics turns on attributed cycle accounting. Passing a non-nil
-// store shares it between worlds (the harness aggregates native and cloaked
-// runs into one profile); passing nil allocates a fresh one. Returns the
-// active store.
-func (w *World) EnableMetrics(shared *obs.Metrics) *obs.Metrics {
-	if shared == nil {
-		shared = obs.NewMetrics()
-	}
-	w.Metrics = shared
-	return shared
+// EnableMetrics turns on attributed cycle accounting in a fresh store and
+// returns it.
+func (w *World) EnableMetrics() *obs.Metrics {
+	w.Metrics = obs.NewMetrics()
+	return w.Metrics
 }
 
 // Now is shorthand for w.Clock.Now().

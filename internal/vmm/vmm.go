@@ -152,12 +152,13 @@ type VMM struct {
 	events []Event
 }
 
+// masterSecret seeds the domain key hierarchy.
+const masterSecret = "overshadow-default-master-secret"
+
 // Config sizes the VMM and machine.
 type Config struct {
 	GuestPages int // size of guest "physical" memory in pages
 	Options    Options
-	// MasterSecret seeds the domain key hierarchy.
-	MasterSecret []byte
 }
 
 // New boots a VMM over freshly allocated machine memory. Machine memory is
@@ -171,10 +172,6 @@ func New(world *sim.World, cfg Config) (*VMM, error) {
 	if cfg.GuestPages <= 0 {
 		return nil, &ResourceFault{Op: "boot",
 			Detail: "GuestPages must be positive"}
-	}
-	secret := cfg.MasterSecret
-	if secret == nil {
-		secret = []byte("overshadow-default-master-secret")
 	}
 	metaCap := cfg.Options.MetaCacheSize
 	if metaCap == 0 {
@@ -199,7 +196,7 @@ func New(world *sim.World, cfg Config) (*VMM, error) {
 		alloc:        alloc,
 		tlbs:         tlbs,
 		activeCtxs:   make([]uint32, world.NumVCPUs()),
-		engine:       cloak.NewEngine(world, cloak.NewMasterKeyer(secret)),
+		engine:       cloak.NewEngine(world, cloak.NewMasterKeyer([]byte(masterSecret))),
 		metas:        cloak.NewMetaStore(world, metaCap),
 		pmap:         make([]mach.MPN, cfg.GuestPages),
 		rmap:         make([][]shadowRef, mem.NumFrames()),
