@@ -17,7 +17,7 @@
 //	overbench -list                # list experiments
 //	overbench -json                # emit tables as JSON
 //	overbench -e E2 -trace t.json  # also write a Perfetto-loadable trace
-//	overbench -metrics m.json      # also write attributed cycle metrics
+//	overbench -metrics m.json      # also write the always-on attributed cycle metrics
 //	overbench -profile p.json      # also write a sim-time profile (see overprof)
 //	overbench -out bench.json      # write a bench record (cycles + wall time)
 //	overbench -baseline bench.json # embed baseline wall time + speedup in -out

@@ -29,7 +29,6 @@ func observedRun(t *testing.T, seed uint64) ([]obs.Span, obs.RingStats, *obs.Met
 	t.Helper()
 	sys := core.NewSystem(core.Config{MemoryPages: 1024, Seed: seed})
 	sys.World.EnableTrace(1 << 14)
-	m := sys.World.EnableMetrics()
 	sys.World.SetPhase("golden")
 	p := sys.World.EnableProfile()
 	sys.Register("golden", func(e core.Env) {
@@ -81,7 +80,7 @@ func observedRun(t *testing.T, seed uint64) ([]obs.Span, obs.RingStats, *obs.Met
 	sys.Run()
 	spans, ring := sys.World.TraceSpans()
 	p.AddDropped(sys.World.Tracer.Dropped())
-	return spans, ring, m, p
+	return spans, ring, sys.World.Stats.Attributed(), p
 }
 
 func checkObsGolden(t *testing.T, name string, got []byte) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"overshadow/internal/obs"
@@ -149,6 +150,36 @@ func TestSMPCycleConservation(t *testing.T) {
 			}
 			if n == 4 && migrations == 0 {
 				t.Fatal("no thread migrations at 4 vCPUs; the multi-queue scheduler never rebalanced")
+			}
+		})
+	}
+}
+
+// TestAttributionAlwaysOn: with no observer, no phase and no export, the
+// counter store still attributes every cycle. At 1 and 4 vCPUs the
+// attributed cycles sum to the clock, and every counter's flat Get equals
+// the events summed over its attributed cells.
+func TestAttributionAlwaysOn(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("vcpus=%d", n), func(t *testing.T) {
+			sys := smpWorkload(t, n, 5)
+			sys.Run()
+			m := sys.Stats().Attributed()
+			if got, want := m.TotalCycles(), uint64(sys.Now()); got != want {
+				t.Fatalf("attributed cycles = %d, clock = %d", got, want)
+			}
+			events := map[string]uint64{}
+			for _, p := range m.Snapshot() {
+				if p.Events != 0 {
+					events[p.Name] += p.Events
+				}
+			}
+			flat := map[string]uint64{}
+			for ctr := range sys.Stats().Snapshot() {
+				flat[ctr.String()] = sys.Stats().Get(ctr)
+			}
+			if len(flat) == 0 || !reflect.DeepEqual(flat, events) {
+				t.Fatalf("flat Get = %v\nattributed events = %v", flat, events)
 			}
 		})
 	}

@@ -240,15 +240,11 @@ func RunE1(opts Options) *Table {
 	return t
 }
 
-// e2Component maps a counter name to its E2 breakdown column: crypto
+// e2Component maps a counter to its E2 breakdown column: crypto
 // (encryption, hashing, metadata), vmm (world switches, CTC, traps,
 // hypercalls), or mem+tlb (raw memory movement and TLB churn). Everything
 // else lands in the "other" remainder column.
-func e2Component(name string) int {
-	ctr, ok := sim.CounterByName(name)
-	if !ok {
-		return 4
-	}
+func e2Component(ctr sim.Counter) int {
 	switch ctr {
 	case sim.CtrPageEncrypt, sim.CtrPageDecrypt, sim.CtrHashCompute, sim.CtrMetaCacheMiss:
 		return 1
@@ -260,21 +256,18 @@ func e2Component(name string) int {
 	return 4
 }
 
-// breakdown turns a total and the attributed before/after counter deltas
+// breakdown turns a total and the attributed before/after counter totals
 // into the [total, crypto, vmm, mem+tlb, other] row shape of E2. The four
 // component columns sum exactly to total: every charge in the machine is
 // attributed to a named counter and the remainder is computed, not measured.
-// Both inputs come name-sorted from TotalsSorted, so the float accumulation
-// order — and with it the rounded column values — is deterministic.
-func breakdown(total float64, before, after []obs.NameTotal) []float64 {
-	prev := make(map[string]uint64, len(before))
-	for _, nt := range before {
-		prev[nt.Name] = nt.Cycles
-	}
+// Both inputs come from Totals of one store, one entry per counter in name
+// order, so the float accumulation order — and with it the rounded column
+// values — is deterministic.
+func breakdown(total float64, before, after []obs.CounterTotal) []float64 {
 	vals := []float64{total, 0, 0, 0, 0}
-	for _, nt := range after {
-		if c := e2Component(nt.Name); c != 4 {
-			vals[c] += float64(nt.Cycles - prev[nt.Name])
+	for i, ct := range after {
+		if c := e2Component(sim.Counter(ct.Counter)); c != 4 {
+			vals[c] += float64(ct.Cycles - before[i].Cycles)
 		}
 	}
 	vals[4] = total - vals[1] - vals[2] - vals[3]
@@ -326,10 +319,6 @@ func RunE2(opts Options) *Table {
 func e2Primitives(opts Options) []Row {
 	w := sim.NewWorld(sim.DefaultCostModel(), opts.seed())
 	opts.observe(w, "E2/primitives")
-	met := w.Metrics
-	if met == nil {
-		met = w.EnableMetrics() // breakdown columns need attribution even unobserved
-	}
 	hv := must1(vmm.New(w, vmm.Config{GuestPages: 64}))
 	as := hv.CreateAddressSpace(mmu.NewPageTable())
 	conn := must1(hv.HCCreateDomain(as))
@@ -341,11 +330,11 @@ func e2Primitives(opts Options) []Row {
 
 	var rows []Row
 	timed := func(name string, f func()) {
-		before := met.TotalsSorted()
+		before := w.Stats.Attributed().Totals()
 		t0 := w.Now()
 		f()
 		rows = append(rows, Row{Name: name,
-			Values: breakdown(float64(w.Clock.Since(t0)), before, met.TotalsSorted())})
+			Values: breakdown(float64(w.Clock.Since(t0)), before, w.Stats.Attributed().Totals())})
 	}
 
 	// First app touch: zero-fill + shadow fill.
@@ -396,15 +385,12 @@ var e2LatKinds = []obs.Kind{obs.KindSyscall, obs.KindHypercall, obs.KindPageFaul
 func e2Probe(opts Options) e2Result {
 	sys := core.NewSystem(core.Config{MemoryPages: 2048, Seed: opts.seed(), VCPUs: opts.VCPUs})
 	opts.observe(sys.World, "E2/probe")
-	met := sys.World.Metrics
-	if met == nil {
-		met = sys.World.EnableMetrics()
-	}
+	met := sys.World.Stats.Attributed()
 	prof := sys.World.Profile()
 	if prof == nil {
 		prof = sys.World.EnableProfile() // latency rows need spans even unobserved
 	}
-	before := met.TotalsSorted()
+	before := met.Totals()
 	sys.Register("probe", func(e core.Env) {
 		buf := must1(e.Alloc(2))
 		payload := make([]byte, 4096)
@@ -425,7 +411,7 @@ func e2Probe(opts Options) e2Result {
 		panic(err)
 	}
 	sys.Run()
-	res := e2Result{breakdown: breakdown(float64(sys.Now()), before, met.TotalsSorted())}
+	res := e2Result{breakdown: breakdown(float64(sys.Now()), before, met.Totals())}
 	for _, k := range e2LatKinds {
 		h := prof.HistByKind(k)
 		res.lats = append(res.lats, Row{

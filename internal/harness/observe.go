@@ -10,8 +10,8 @@ import (
 
 // Observer aggregates observability output across the many short-lived
 // worlds one benchmark run builds (native and cloaked variants, repeated
-// sweeps). Each attached world charges into its own obs.Metrics store and —
-// when TraceCap > 0 — records spans into its own ring. Exports merge the
+// sweeps). Each attached world charges into its own always-on counter store
+// and — when TraceCap > 0 — records spans into its own ring. Exports merge the
 // per-world stores in declaration order (the slot key assigned at job
 // submission), so the merged metrics JSON and the concatenated trace are
 // byte-identical for any shard count, including the serial path.
@@ -34,14 +34,13 @@ type Observer struct {
 type obsSlot struct {
 	key   uint64
 	world *sim.World
-	store *obs.Metrics
 }
 
-// attach wires a freshly built world into the observer: a private metrics
-// store, the phase label for attribution, and (optionally) a span ring.
-// Safe to call from concurrent benchmark jobs.
+// attach wires a freshly built world into the observer: the phase label for
+// attribution, which also starts the world's attributed store so boot
+// charges stay out of the export, and (optionally) a span ring. Safe to call
+// from concurrent benchmark jobs.
 func (ob *Observer) attach(w *sim.World, phase string, key uint64) {
-	store := w.EnableMetrics()
 	w.SetPhase(phase)
 	if ob.TraceCap > 0 {
 		w.EnableTrace(ob.TraceCap)
@@ -52,7 +51,7 @@ func (ob *Observer) attach(w *sim.World, phase string, key uint64) {
 		w.EnableProfile()
 	}
 	ob.mu.Lock()
-	ob.slots = append(ob.slots, obsSlot{key: key, world: w, store: store})
+	ob.slots = append(ob.slots, obsSlot{key: key, world: w})
 	ob.mu.Unlock()
 }
 
@@ -67,13 +66,13 @@ func (ob *Observer) ordered() []obsSlot {
 	return out
 }
 
-// MergedMetrics folds every attached world's store into one snapshot-ready
-// view. Merge is additive and commutative, so the result is independent of
-// which worker built which world.
+// MergedMetrics folds every attached world's attributed store into one
+// snapshot-ready view. Merge is additive and commutative, so the result is
+// independent of which worker built which world.
 func (ob *Observer) MergedMetrics() *obs.Metrics {
-	m := obs.NewMetrics()
+	m := sim.NewMetrics()
 	for _, s := range ob.ordered() {
-		m.Merge(s.store)
+		m.Merge(s.world.Stats.Attributed())
 	}
 	return m
 }

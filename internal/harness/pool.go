@@ -9,7 +9,7 @@ import (
 
 // This file is the sharded execution engine. Every experiment decomposes
 // into independent world-building jobs (each sim.World owns its clock, RNG,
-// tracer, and metrics store, so per-world determinism is free); jobs run on
+// tracer, and counter store, so per-world determinism is free); jobs run on
 // a bounded worker pool, and results are collected in declaration order.
 // Simulated cycles — and therefore every table, trace, and metrics export —
 // are byte-identical for any shard count, including -shards 1. Sharding

@@ -169,9 +169,8 @@ func isChargePrimitive(obj types.Object) bool {
 var observerMethods = map[string]bool{
 	"Begin": true, "Emit": true, "EmitSpan": true,
 	"SetTask": true, "SetTaskDomain": true, "SetPhase": true,
-	"setPhase": true, "Attr": true,
-	"EnableTrace": true, "EnableMetrics": true,
-	"TraceEnabled": true, "TraceSpans": true,
+	"setPhase": true, "setAttr": true, "Attr": true,
+	"EnableTrace": true, "TraceEnabled": true, "TraceSpans": true,
 	"EnableProfile": true, "Profile": true,
 	"profLeaf": true, "profPush": true, "profPop": true,
 	"profDispatch": true, "profObserve": true, "profSetPhase": true,

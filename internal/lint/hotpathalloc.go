@@ -71,7 +71,6 @@ var hotRoots = []hotRoot{
 	{"overshadow/internal/obs", "ProfNode", "Child"},
 	{"overshadow/internal/obs", "ProfNode", "AddLeaf"},
 	{"overshadow/internal/obs", "Histogram", "RecordN"},
-	{"overshadow/internal/obs", "Metrics", "Charge"},
 	{cloakPath, "Engine", "EncryptPage"},
 	{cloakPath, "Engine", "DecryptPage"},
 	{"overshadow/internal/fault", "Injector", "At"},

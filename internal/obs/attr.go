@@ -11,6 +11,7 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 )
@@ -63,9 +64,22 @@ func (a Attr) String() string {
 	return b.String()
 }
 
-// key is a total order over attribution keys used to make every export
-// deterministic regardless of map iteration order.
-func (a Attr) key() string {
-	return fmt.Sprintf("%s\x00%08d\x00%012d\x00%012d\x00%s\x00%t",
-		a.Phase, a.Domain, a.PID, a.TID, a.Task, a.Cloaked)
+// compare is the total order every export sorts attribution keys by: phase,
+// domain, pid, tid, task, then uncloaked before cloaked.
+func (a Attr) compare(b Attr) int {
+	return cmp.Or(
+		cmp.Compare(a.Phase, b.Phase),
+		cmp.Compare(a.Domain, b.Domain),
+		cmp.Compare(a.PID, b.PID),
+		cmp.Compare(a.TID, b.TID),
+		cmp.Compare(a.Task, b.Task),
+		cmp.Compare(b2i(a.Cloaked), b2i(b.Cloaked)),
+	)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -31,14 +31,14 @@ func fixtureSpans() ([]Span, RingStats) {
 }
 
 func fixtureMetrics() *Metrics {
-	m := NewMetrics()
+	m := NewMetrics(testNames)
 	app := Attr{Phase: "E2/cloaked", Domain: 2, PID: 3, TID: 3, Task: "kv", Cloaked: true}
-	m.Charge(app, "cloak.encrypt", 43240, 1)
-	m.Charge(app, "vmm.worldswitch", 1600, 2)
-	m.Charge(app, "vmm.ctc.save", 300, 1)
-	m.Charge(app, "mem.access", 256, 64)
-	m.Charge(Attr{Phase: "E2/native", PID: 4, TID: 5, Task: "web"}, "mem.access", 128, 32)
-	m.Charge(Attr{}, "cpu.idle", 5000, 0)
+	charge(m, app, "cloak.encrypt", 43240, 1)
+	charge(m, app, "vmm.worldswitch", 1600, 2)
+	charge(m, app, "vmm.ctc.save", 300, 1)
+	charge(m, app, "mem.access", 256, 64)
+	charge(m, Attr{Phase: "E2/native", PID: 4, TID: 5, Task: "web"}, "mem.access", 128, 32)
+	charge(m, Attr{}, "cpu.idle", 5000, 0)
 	return m
 }
 

@@ -1,82 +1,99 @@
 package obs
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
-// bucket accumulates per-counter cycles and event counts for one Attr.
-type bucket struct {
-	cycles map[string]uint64
-	counts map[string]uint64
+// Cell is one (attribution key, counter) accumulator. Charged records that a
+// charge landed on it, so a cell charged zero cycles and zero events still
+// shows in every export.
+type Cell struct {
+	Cycles  uint64
+	Events  uint64
+	Charged bool
 }
 
-// Metrics is the attributed cycle-accounting store: every cost-model charge
-// is bucketed under (attribution key, counter name). Nothing here reads host
-// state; buckets are plain accumulators, so two runs with the same seed
-// produce identical snapshots.
+// add folds o into c.
+func (c *Cell) add(o Cell) {
+	c.Cycles += o.Cycles
+	c.Events += o.Events
+	c.Charged = c.Charged || o.Charged
+}
+
+// Metrics is the attributed cycle-accounting store: one dense row of cells
+// per attribution key, each row indexed like the counter-names table the
+// store was built over. A key's row is interned once (Row), so charging it is
+// an array add. Rows are kept in interning order and every export sorts, so
+// two runs with the same seed produce identical snapshots.
 type Metrics struct {
-	buckets map[Attr]*bucket
+	names []string
+	// order lists the counter indices in name order.
+	order []int
+	attrs []Attr
+	rows  [][]Cell
+	ids   map[Attr]int
 }
 
-// NewMetrics returns an empty attributed-metrics store.
-func NewMetrics() *Metrics { return &Metrics{buckets: make(map[Attr]*bucket)} }
-
-// Charge records cycles (and optionally events) against counter name under
-// attribution key a.
-func (m *Metrics) Charge(a Attr, name string, cycles, events uint64) {
-	b := m.buckets[a]
-	if b == nil {
-		// Amortized: one allocation per distinct attribution key, not per
-		// charge; the key space (task × domain × phase) is small and fixed.
-		//overlint:allow hotpathalloc -- lazy bucket creation, once per attribution key
-		b = &bucket{cycles: make(map[string]uint64), counts: make(map[string]uint64)}
-		m.buckets[a] = b
+// NewMetrics returns an empty store over the given counter-names table:
+// cell i of every row accumulates the counter named names[i].
+func NewMetrics(names []string) *Metrics {
+	order := make([]int, len(names))
+	for i := range order {
+		order[i] = i
 	}
-	b.cycles[name] += cycles
-	if events != 0 {
-		b.counts[name] += events
-	}
+	sort.Slice(order, func(i, j int) bool { return names[order[i]] < names[order[j]] })
+	return &Metrics{names: names, order: order, ids: make(map[Attr]int)}
 }
+
+// Row returns a's cells, interning the row on first use. The slice aliases
+// the store: callers charge by adding to its cells in place.
+func (m *Metrics) Row(a Attr) []Cell {
+	if i, ok := m.ids[a]; ok {
+		return m.rows[i]
+	}
+	//overlint:allow hotpathalloc -- one row per attribution key, interned once; the key space (phase × task × domain) is small
+	r := make([]Cell, len(m.names))
+	m.ids[a] = len(m.rows)
+	m.attrs = append(m.attrs, a)
+	m.rows = append(m.rows, r)
+	return r
+}
+
+// Rows returns every row, in interning order.
+func (m *Metrics) Rows() [][]Cell { return m.rows }
 
 // TotalCycles reports the sum of all attributed cycles.
 func (m *Metrics) TotalCycles() uint64 {
 	var total uint64
-	//overlint:allow determinism -- commutative sum; iteration order cannot reach serialized bytes
-	for _, b := range m.buckets {
-		//overlint:allow determinism -- commutative sum; iteration order cannot reach serialized bytes
-		for _, c := range b.cycles {
-			total += c
+	for _, r := range m.rows {
+		for _, c := range r {
+			total += c.Cycles
 		}
 	}
 	return total
 }
 
-// NameTotal is one (counter name, cycles) pair of TotalsSorted.
-type NameTotal struct {
-	Name   string
-	Cycles uint64
+// CounterTotal is one counter's cycles summed over every row.
+type CounterTotal struct {
+	// Counter is the counter's index in the names table.
+	Counter int
+	Cycles  uint64
 }
 
-// TotalsSorted sums attributed cycles per counter name across all
-// attribution keys and returns the totals in name order. It replaces the
-// map-returning TotalsByName: with a sorted slice, caller iteration order —
-// including float accumulation order — is deterministic by construction.
-func (m *Metrics) TotalsSorted() []NameTotal {
-	totals := make(map[string]uint64)
-	//overlint:allow determinism -- additive fold into a scratch map, sorted before return
-	for _, b := range m.buckets {
-		//overlint:allow determinism -- additive fold into a scratch map, sorted before return
-		for name, c := range b.cycles {
-			totals[name] += c
+// Totals sums attributed cycles per counter across all attribution keys and
+// returns one entry per counter of the names table, in name order. With a
+// fixed order, caller iteration — including float accumulation order — is
+// deterministic by construction, and two Totals of one store line up index
+// by index.
+func (m *Metrics) Totals() []CounterTotal {
+	out := make([]CounterTotal, 0, len(m.order))
+	for _, i := range m.order {
+		var cycles uint64
+		for _, r := range m.rows {
+			cycles += r[i].Cycles
 		}
-	}
-	names := make([]string, 0, len(totals))
-	//overlint:allow determinism -- keys are collected then sorted before return
-	for name := range totals {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]NameTotal, 0, len(names))
-	for _, name := range names {
-		out = append(out, NameTotal{Name: name, Cycles: totals[name]})
+		out = append(out, CounterTotal{Counter: i, Cycles: cycles})
 	}
 	return out
 }
@@ -89,55 +106,36 @@ type MetricPoint struct {
 	Events uint64
 }
 
-// Snapshot flattens the store into a deterministically ordered slice:
-// attribution keys in key order, counter names alphabetical within each.
+// Snapshot flattens the charged cells into a deterministically ordered
+// slice: attribution keys in Attr.compare order, counter names alphabetical
+// within each.
 func (m *Metrics) Snapshot() []MetricPoint {
-	attrs := make([]Attr, 0, len(m.buckets))
-	//overlint:allow determinism -- keys are collected then sorted before serialization
-	for a := range m.buckets {
-		attrs = append(attrs, a)
+	byAttr := make([]int, len(m.attrs))
+	for i := range byAttr {
+		byAttr[i] = i
 	}
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i].key() < attrs[j].key() })
+	slices.SortFunc(byAttr, func(i, j int) int { return m.attrs[i].compare(m.attrs[j]) })
 	var out []MetricPoint
-	for _, a := range attrs {
-		b := m.buckets[a]
-		names := make([]string, 0, len(b.cycles))
-		//overlint:allow determinism -- keys are collected then sorted before serialization
-		for n := range b.cycles {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			out = append(out, MetricPoint{Attr: a, Name: n, Cycles: b.cycles[n], Events: b.counts[n]})
+	for _, a := range byAttr {
+		r := m.rows[a]
+		for _, i := range m.order {
+			if c := r[i]; c.Charged {
+				out = append(out, MetricPoint{Attr: m.attrs[a], Name: m.names[i], Cycles: c.Cycles, Events: c.Events})
+			}
 		}
 	}
 	return out
 }
 
-// Merge adds every cell of other into m. Addition commutes, so merging the
-// same set of per-world stores in any order yields identical totals — the
-// property the sharded harness relies on for byte-identical exports.
+// Merge adds every cell of other, which must share m's names table, into m.
+// Addition commutes, so merging the same set of per-world stores in any
+// order yields identical totals — the property the sharded harness relies
+// on for byte-identical exports.
 func (m *Metrics) Merge(other *Metrics) {
-	if other == nil {
-		return
-	}
-	//overlint:allow determinism -- additive merge; iteration order cannot reach serialized bytes
-	for a, ob := range other.buckets {
-		b := m.buckets[a]
-		if b == nil {
-			b = &bucket{cycles: make(map[string]uint64), counts: make(map[string]uint64)}
-			m.buckets[a] = b
-		}
-		//overlint:allow determinism -- additive merge; iteration order cannot reach serialized bytes
-		for name, c := range ob.cycles {
-			b.cycles[name] += c
-		}
-		//overlint:allow determinism -- additive merge; iteration order cannot reach serialized bytes
-		for name, n := range ob.counts {
-			b.counts[name] += n
+	for i, a := range other.attrs {
+		r := m.Row(a)
+		for c, oc := range other.rows[i] {
+			r[c].add(oc)
 		}
 	}
 }
-
-// Reset drops all buckets.
-func (m *Metrics) Reset() { m.buckets = make(map[Attr]*bucket) }

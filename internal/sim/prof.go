@@ -8,8 +8,8 @@ import "overshadow/internal/obs"
 // interleave across tasks (a blocked syscall's span stays open while another
 // process runs), so the stack is swapped on every dispatch in VCPU.SetTask,
 // keyed by TID — tasks migrate across vCPUs, so the stack table is
-// machine-global, not per-vCPU. Like Metrics and Tracer, the whole layer
-// costs one nil check per charge / span / dispatch when disabled.
+// machine-global, not per-vCPU. Like the Tracer, the whole layer costs one
+// nil check per charge / span / dispatch when disabled.
 
 // profState is the World's profiling state, split out so the disabled path
 // carries a single pointer. Only the baton holder mutates it.

@@ -53,10 +53,11 @@ func TestCyclesString(t *testing.T) {
 }
 
 func TestStatsBasics(t *testing.T) {
-	s := NewStats()
-	s.Inc(CtrSyscall)
-	s.Inc(CtrSyscall)
-	s.Add(CtrMemAccess, 7)
+	w := NewWorld(DefaultCostModel(), 1)
+	c, s := w.Boot(), w.Stats
+	c.ChargeCount(1, CtrSyscall)
+	c.ChargeCount(1, CtrSyscall)
+	c.ChargeAdd(0, CtrMemAccess, 7)
 	if got := s.Get(CtrSyscall); got != 2 {
 		t.Fatalf("syscall counter = %d, want 2", got)
 	}
@@ -64,23 +65,26 @@ func TestStatsBasics(t *testing.T) {
 		t.Fatalf("mem counter = %d, want 7", got)
 	}
 	snap := s.Snapshot()
-	s.Inc(CtrSyscall)
+	c.ChargeCount(1, CtrSyscall)
 	d := s.DeltaSince(snap)
 	if d[CtrSyscall] != 1 || len(d) != 1 {
 		t.Fatalf("delta = %v, want {os.syscall:1}", d)
 	}
-	s.Reset()
-	if got := s.Get(CtrSyscall); got != 0 {
-		t.Fatalf("after reset counter = %d, want 0", got)
+	// A new phase starts a new attributed store; the flat counts carry on.
+	w.SetPhase("p")
+	c.ChargeCount(1, CtrSyscall)
+	if got := s.Get(CtrSyscall); got != 4 {
+		t.Fatalf("syscall counter across a phase change = %d, want 4", got)
 	}
 }
 
 // TestStatsStringSorted renders every counter: String must order the lines
 // by name, not by the counters' enum order.
 func TestStatsStringSorted(t *testing.T) {
-	s := NewStats()
+	w := NewWorld(DefaultCostModel(), 1)
+	s := w.Stats
 	for c := Counter(0); c < numCounters; c++ {
-		s.Add(c, uint64(c)+1)
+		w.Boot().ChargeAdd(0, c, uint64(c)+1)
 	}
 	lines := strings.Split(strings.TrimSuffix(s.String(), "\n"), "\n")
 	if len(lines) != int(numCounters) {

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"overshadow/internal/obs"
 )
 
 // Counter names every event class the machine records. Counters are a dense
-// enum: Stats indexes a fixed array with them, and every export renders a
-// counter by its entry in the one names table (see String). The base type is
+// enum: every Stats row indexes its cells with them, and every export renders
+// a counter by its entry in the one names table (see String). The base type is
 // deliberately wider than a byte, so go vet's stringintconv check rejects a
 // string(ctr) conversion, which would yield a one-rune string, not the name.
 type Counter uint16
@@ -170,43 +172,60 @@ var counterNames = [numCounters]string{
 }
 
 // String returns the counter's exported name. It is a table lookup, so the
-// charge path can hand names to the attributed stores without allocating.
+// charge path can hand names to the profiler without allocating.
 func (c Counter) String() string { return counterNames[c] }
 
-// CounterByName resolves an exported name back to its counter, reporting
-// false for a name no counter carries.
-func CounterByName(name string) (Counter, bool) {
-	for i, n := range counterNames {
-		if n == name {
-			return Counter(i), true
+// NewMetrics returns an empty attributed store over the counter-names table:
+// cell c of every row accumulates counter c.
+func NewMetrics() *obs.Metrics { return obs.NewMetrics(counterNames[:]) }
+
+// Stats is the machine's one counter store, always on. Every charge lands in
+// a {cycles, events} cell of the row the charging vCPU holds for its
+// attribution key (see VCPU.SetTask), so the charge path is an array add.
+// The flat views — Get, Snapshot, DeltaSince, String — sum events over the
+// rows. Like all machine state it is touched only by the baton-holding
+// goroutine (see the package doc).
+type Stats struct {
+	// store holds the attributed rows of the current phase: what the
+	// world's metrics export shows (see Attributed).
+	store *obs.Metrics
+	// flat holds the events the flat views count but the export leaves out:
+	// the rows of earlier phases, folded in by newPhase, and events that no
+	// charge carries (injected faults, see VCPU.InjectAt).
+	flat [numCounters]uint64
+}
+
+// Attributed returns the attributed store of the current phase: every
+// charge since the world's last SetPhase (or since boot, if it never set
+// one), bucketed by attribution key.
+func (s *Stats) Attributed() *obs.Metrics { return s.store }
+
+// newPhase folds the current rows' events into the flat counts and starts
+// an empty attributed store, so a phase's export never shows the charges
+// made before it (a harness world boots before its phase is set).
+func (s *Stats) newPhase() {
+	s.flat = s.counts()
+	s.store = NewMetrics()
+}
+
+// counts sums every counter's events over the flat counts and the rows.
+func (s *Stats) counts() [numCounters]uint64 {
+	n := s.flat
+	for _, r := range s.store.Rows() {
+		for c := range n {
+			n[c] += r[c].Events
 		}
 	}
-	return 0, false
+	return n
 }
-
-// Stats is a fixed array of monotonically increasing event counters, one
-// slot per Counter. Like all machine state it is touched only by the
-// baton-holding goroutine (see the package doc).
-type Stats struct {
-	counts [numCounters]uint64
-}
-
-// NewStats returns an empty counter set.
-func NewStats() *Stats { return &Stats{} }
-
-// Inc adds one to counter c.
-func (s *Stats) Inc(c Counter) { s.counts[c]++ }
-
-// Add adds n to counter c.
-func (s *Stats) Add(c Counter, n uint64) { s.counts[c] += n }
 
 // Get reports the current value of counter c.
-func (s *Stats) Get(c Counter) uint64 { return s.counts[c] }
+func (s *Stats) Get(c Counter) uint64 { return s.counts()[c] }
 
 // Snapshot returns the non-zero counters, for before/after deltas.
 func (s *Stats) Snapshot() map[Counter]uint64 {
 	out := make(map[Counter]uint64)
-	for i, v := range s.counts {
+	for i, v := range s.counts() {
 		if v != 0 {
 			out[Counter(i)] = v
 		}
@@ -218,7 +237,7 @@ func (s *Stats) Snapshot() map[Counter]uint64 {
 // keeping the non-zero differences of the non-zero counters.
 func (s *Stats) DeltaSince(prev map[Counter]uint64) map[Counter]uint64 {
 	out := make(map[Counter]uint64)
-	for i, v := range s.counts {
+	for i, v := range s.counts() {
 		if d := v - prev[Counter(i)]; v != 0 && d != 0 {
 			out[Counter(i)] = d
 		}
@@ -226,13 +245,11 @@ func (s *Stats) DeltaSince(prev map[Counter]uint64) map[Counter]uint64 {
 	return out
 }
 
-// Reset zeroes all counters.
-func (s *Stats) Reset() { s.counts = [numCounters]uint64{} }
-
 // String renders the non-zero counters sorted by name.
 func (s *Stats) String() string {
+	counts := s.counts()
 	var ctrs []Counter
-	for i, v := range s.counts {
+	for i, v := range counts {
 		if v != 0 {
 			ctrs = append(ctrs, Counter(i))
 		}
@@ -240,7 +257,7 @@ func (s *Stats) String() string {
 	sort.Slice(ctrs, func(i, j int) bool { return ctrs[i].String() < ctrs[j].String() })
 	var b strings.Builder
 	for _, c := range ctrs {
-		fmt.Fprintf(&b, "%-24s %12d\n", c, s.counts[c])
+		fmt.Fprintf(&b, "%-24s %12d\n", c, counts[c])
 	}
 	return b.String()
 }

@@ -1,6 +1,12 @@
 package sim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"overshadow/internal/fault"
+	"overshadow/internal/obs"
+)
 
 // exportedCounterNames pins every counter's exported name. The names reach
 // the goldens, metrics exports and profiles, so a rename here is a change
@@ -103,21 +109,15 @@ func TestCounterNamesUniqueAndNonEmpty(t *testing.T) {
 			t.Errorf("counters %d and %d share the name %q", prev, c, name)
 		}
 		seen[name] = c
-		if got, ok := CounterByName(name); !ok || got != c {
-			t.Errorf("CounterByName(%q) = %d, %v; want %d, true", name, got, ok, c)
-		}
-	}
-	if _, ok := CounterByName("no.such.counter"); ok {
-		t.Error("CounterByName resolved an unknown name")
 	}
 }
 
 func TestStatsDeltaSinceSkipsZeroCounters(t *testing.T) {
-	s := NewStats()
-	s.Add(CtrSyscall, 3)
+	w := NewWorld(DefaultCostModel(), 1)
+	s := w.Stats
+	w.Boot().ChargeAdd(0, CtrSyscall, 3)
 	snap := s.Snapshot()
-	s.Reset()
-	s.Inc(CtrMemAccess)
+	w.Boot().ChargeCount(0, CtrMemAccess)
 	d := s.DeltaSince(snap)
 	if len(d) != 1 || d[CtrMemAccess] != 1 {
 		t.Fatalf("delta = %v, want only mem.access:1", d)
@@ -125,14 +125,25 @@ func TestStatsDeltaSinceSkipsZeroCounters(t *testing.T) {
 }
 
 // TestChargePathAllocFree pins the charge primitives allocation-free with
-// metrics, tracing and profiling off: they run on every simulated memory
-// access.
+// tracing and profiling off: they run on every simulated memory access. A
+// dispatch between tasks whose rows are already interned allocates nothing
+// either.
 func TestChargePathAllocFree(t *testing.T) {
 	c := NewWorld(DefaultCostModel(), 1).Boot()
+	c.SetTask(1, 1, "a", 0, false)
+	c.SetTask(2, 2, "b", 3, true)
+	next := 0
 	for name, charge := range map[string]func(){
 		"Charge":      func() { c.Charge(1) },
 		"ChargeCount": func() { c.ChargeCount(1, CtrTLBHit) },
 		"ChargeAdd":   func() { c.ChargeAdd(1, CtrMemAccess, 1) },
+		"SetTask": func() {
+			if next ^= 1; next == 0 {
+				c.SetTask(1, 1, "a", 0, false)
+			} else {
+				c.SetTask(2, 2, "b", 3, true)
+			}
+		},
 	} {
 		if allocs := testing.AllocsPerRun(1000, charge); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
@@ -140,8 +151,77 @@ func TestChargePathAllocFree(t *testing.T) {
 	}
 }
 
+// TestZeroChargeCreatesCell: a charge of zero cycles and zero events still
+// creates its exported cell (the shim charges an empty marshal this way).
+func TestZeroChargeCreatesCell(t *testing.T) {
+	w := NewWorld(DefaultCostModel(), 1)
+	w.Boot().ChargeAdd(0, CtrShimMarshalBytes, 0)
+	snap := w.Stats.Attributed().Snapshot()
+	want := []obs.MetricPoint{{Name: CtrShimMarshalBytes.String()}}
+	if !reflect.DeepEqual(snap, want) {
+		t.Fatalf("snapshot = %+v, want %+v", snap, want)
+	}
+	if w.Stats.Get(CtrShimMarshalBytes) != 0 {
+		t.Fatal("zero-event charge created a flat count")
+	}
+}
+
+// TestInjectedFaultsStayUnattributed: an injected fault counts in the flat
+// views perfbench reads, but it is not a charge, so the attributed export
+// never shows it.
+func TestInjectedFaultsStayUnattributed(t *testing.T) {
+	w := NewWorld(DefaultCostModel(), 1)
+	var plan fault.Plan
+	plan.Rates[fault.SiteDiskRead] = fault.Rate{FailPerMille: 1000}
+	w.Fault = fault.NewInjector(1, plan)
+	for i := 0; i < 3; i++ {
+		if _, ok := w.Boot().InjectAt(fault.SiteDiskRead); !ok {
+			t.Fatal("certain fault did not fire")
+		}
+	}
+	w.Boot().Charge(1)
+	for _, p := range w.Stats.Attributed().Snapshot() {
+		if p.Name == CtrFaultInjected.String() {
+			t.Fatalf("attributed export shows %+v", p)
+		}
+	}
+	w.SetPhase("p") // the flat count survives the fold into a new phase
+	if got := w.Stats.Get(CtrFaultInjected); got != 3 {
+		t.Fatalf("Get(fault.injected) = %d, want 3", got)
+	}
+	if got := w.Stats.Snapshot()[CtrFaultInjected]; got != 3 {
+		t.Fatalf("Snapshot[fault.injected] = %d, want 3", got)
+	}
+}
+
+// TestPhaseExcludesEarlierCharges: charges made before SetPhase (a harness
+// world boots before the observer labels it) stay out of the phase's
+// attributed store, but the flat views still count them.
+func TestPhaseExcludesEarlierCharges(t *testing.T) {
+	w := NewWorldN(DefaultCostModel(), 1, 2)
+	w.VCPUs()[1].SetTask(5, 5, "boot", 0, false)
+	w.VCPUs()[1].ChargeCount(100, CtrSyscall)
+	w.Boot().ChargeAdd(0, CtrShimMarshalBytes, 0)
+	w.SetPhase("E0/run")
+	w.VCPUs()[1].ChargeCount(10, CtrSyscall)
+	m := w.Stats.Attributed()
+	want := []obs.MetricPoint{{
+		Attr: obs.Attr{Phase: "E0/run", PID: 5, TID: 5, Task: "boot"},
+		Name: CtrSyscall.String(), Cycles: 10, Events: 1,
+	}}
+	if snap := m.Snapshot(); !reflect.DeepEqual(snap, want) {
+		t.Fatalf("snapshot = %+v, want %+v", snap, want)
+	}
+	if m.TotalCycles() != 10 {
+		t.Fatalf("TotalCycles = %d, want 10", m.TotalCycles())
+	}
+	if got := w.Stats.Get(CtrSyscall); got != 2 {
+		t.Fatalf("Get(os.syscall) = %d, want 2", got)
+	}
+}
+
 // BenchmarkChargeAdd measures the sim charge path alone: clock advance,
-// per-vCPU credit and the flat counter, on a bare World.
+// per-vCPU credit and the attributed cell, on a bare World.
 func BenchmarkChargeAdd(b *testing.B) {
 	c := NewWorld(DefaultCostModel(), 1).Boot()
 	b.ReportAllocs()

@@ -39,12 +39,14 @@ func (t *Tracer) record(s obs.Span) {
 	t.total++
 }
 
-// EnableTrace turns on tracing with a ring of the given capacity.
+// EnableTrace turns on tracing with a ring of the given capacity. The ring
+// grows as spans arrive, up to capacity, so a world that records few spans
+// holds few slots however large its bound.
 func (w *World) EnableTrace(capacity int) {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	w.Tracer = &Tracer{cap: capacity, buf: make([]obs.Span, 0, capacity)}
+	w.Tracer = &Tracer{cap: capacity}
 }
 
 // TraceEnabled reports whether spans are being recorded.

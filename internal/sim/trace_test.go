@@ -82,6 +82,22 @@ func TestTracerExactlyFullIsNotWrapped(t *testing.T) {
 	}
 }
 
+// TestTraceRingGrowsLazily: the ring holds the spans a world recorded, not
+// its bound — the harness gives every traced world a 2^18-span ring.
+func TestTraceRingGrowsLazily(t *testing.T) {
+	w := NewWorld(DefaultCostModel(), 1)
+	w.EnableTrace(1 << 18)
+	for i := 0; i < 3; i++ {
+		w.Boot().Emit(obs.KindProc, "t", uint64(i))
+	}
+	if n := cap(w.Tracer.buf); n > 16 {
+		t.Fatalf("3 spans hold %d slots", n)
+	}
+	if spans, ring := w.TraceSpans(); len(spans) != 3 || ring.Wrapped {
+		t.Fatalf("spans = %v, ring = %+v", spans, ring)
+	}
+}
+
 func TestBeginEndSpanCoversCharges(t *testing.T) {
 	w := NewWorld(DefaultCostModel(), 1)
 	w.EnableTrace(16)
@@ -144,7 +160,6 @@ func TestEnableTraceDefaultCap(t *testing.T) {
 
 func TestAttributedChargesBucketPerTask(t *testing.T) {
 	w := NewWorld(DefaultCostModel(), 1)
-	m := w.EnableMetrics()
 	w.Boot().SetTask(1, 1, "a", 0, false)
 	w.Boot().ChargeCount(100, CtrSyscall)
 	w.Boot().SetTask(2, 2, "b", 0, false)
@@ -152,6 +167,7 @@ func TestAttributedChargesBucketPerTask(t *testing.T) {
 	w.Boot().ChargeAdd(50, CtrMemAccess, 10)
 	w.Boot().Charge(7) // catch-all
 
+	m := w.Stats.Attributed()
 	if got := m.TotalCycles(); got != 457 {
 		t.Fatalf("TotalCycles = %d", got)
 	}
@@ -159,8 +175,8 @@ func TestAttributedChargesBucketPerTask(t *testing.T) {
 		t.Fatalf("clock = %d, want attributed total 457", w.Now())
 	}
 	totals := map[string]uint64{}
-	for _, nt := range m.TotalsSorted() {
-		totals[nt.Name] = nt.Cycles
+	for _, ct := range m.Totals() {
+		totals[counterNames[ct.Counter]] = ct.Cycles
 	}
 	if totals[CtrSyscall.String()] != 400 || totals[CtrMemAccess.String()] != 50 || totals[CtrOther.String()] != 7 {
 		t.Fatalf("totals = %v", totals)

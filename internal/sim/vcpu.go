@@ -30,6 +30,9 @@ type VCPU struct {
 	// are attributed to it. The guest scheduler and the shim keep it current
 	// (see SetTask).
 	attr obs.Attr
+	// row is attr's cells in the world's counter store, re-interned whenever
+	// attr changes; every charge adds to it.
+	row []obs.Cell
 	// cycles is the simulated time this vCPU has charged to the clock.
 	cycles Cycles
 }
@@ -52,7 +55,7 @@ func (c *VCPU) Cycles() Cycles { return c.cycles }
 // fires the credit still lands (time was clamped to the deadline) before the
 // Crash panic unwinds — so the sum-to-clock invariant holds in crashed worlds
 // too, exactly like the historical single-CPU charge path, which also stopped
-// before any counter or metrics attribution.
+// before any counter attribution.
 func (c *VCPU) chargeClock(n Cycles) {
 	applied, at, crashed := c.w.Clock.advance(n)
 	c.cycles += applied
@@ -64,44 +67,24 @@ func (c *VCPU) chargeClock(n Cycles) {
 // Charge advances the clock by n cycles. Sites with a meaningful counter
 // should prefer ChargeCount/ChargeAdd; anything left here lands in the
 // catch-all bucket so attributed components still sum to the clock total.
-func (c *VCPU) Charge(n Cycles) {
-	c.chargeClock(n)
-	w := c.w
-	if w.Metrics != nil {
-		w.Metrics.Charge(c.attr, CtrOther.String(), uint64(n), 0)
-	}
-	if w.prof != nil {
-		w.profLeaf(CtrOther.String(), uint64(n))
-	}
-}
+func (c *VCPU) Charge(n Cycles) { c.ChargeAdd(n, CtrOther, 0) }
 
 // ChargeCount advances the clock and increments the matching counter; the
 // two almost always travel together.
-func (c *VCPU) ChargeCount(n Cycles, ctr Counter) {
-	c.chargeClock(n)
-	w := c.w
-	w.Stats.Inc(ctr)
-	if w.Metrics != nil {
-		w.Metrics.Charge(c.attr, ctr.String(), uint64(n), 1)
-	}
-	if w.prof != nil {
-		w.profLeaf(ctr.String(), uint64(n))
-	}
-}
+func (c *VCPU) ChargeCount(n Cycles, ctr Counter) { c.ChargeAdd(n, ctr, 1) }
 
 // ChargeAdd advances the clock by n cycles attributed to counter ctr, adding
-// events to the flat counter (events may be zero when the count is already
-// maintained elsewhere and only the cycles need attribution).
+// events to its count (events may be zero when the count is already
+// maintained elsewhere and only the cycles need attribution). The charge
+// lands in this vCPU's current row of the counter store, and marks the cell
+// charged even when n and events are both zero.
 func (c *VCPU) ChargeAdd(n Cycles, ctr Counter, events uint64) {
 	c.chargeClock(n)
-	w := c.w
-	if events != 0 {
-		w.Stats.Add(ctr, events)
-	}
-	if w.Metrics != nil {
-		w.Metrics.Charge(c.attr, ctr.String(), uint64(n), events)
-	}
-	if w.prof != nil {
+	cell := &c.row[ctr]
+	cell.Cycles += uint64(n)
+	cell.Events += events
+	cell.Charged = true
+	if w := c.w; w.prof != nil {
 		w.profLeaf(ctr.String(), uint64(n))
 	}
 }
@@ -118,7 +101,9 @@ func (c *VCPU) InjectAt(site fault.Site) (fault.Kind, bool) {
 	if !ok {
 		return fault.None, false
 	}
-	w.Stats.Inc(CtrFaultInjected)
+	// Counted in the flat views only: an injected fault is not a charge, so
+	// it has no cycles to attribute.
+	w.Stats.flat[CtrFaultInjected]++
 	// The span name is only built when a tracer is listening: Emit is a
 	// no-op without one, and formatting per fired fault would otherwise be
 	// the injection path's only allocation.
@@ -136,20 +121,34 @@ func (c *VCPU) SetTask(pid, tid int, name string, domain uint32, cloaked bool) {
 	if w.prof != nil {
 		w.profDispatch(tid)
 	}
-	c.attr = obs.Attr{
+	c.setAttr(obs.Attr{
 		PID: pid, TID: tid, Task: name,
 		Domain: domain, Cloaked: cloaked,
 		Phase: c.attr.Phase,
-	}
+	})
 }
 
 // SetTaskDomain updates the cloaking domain of the current task (the shim
 // learns the domain only after its first hypercall, mid-run).
-func (c *VCPU) SetTaskDomain(domain uint32) { c.attr.Domain = domain }
+func (c *VCPU) SetTaskDomain(domain uint32) {
+	a := c.attr
+	a.Domain = domain
+	c.setAttr(a)
+}
 
 // setPhase relabels this vCPU's attribution phase; the World applies it to
 // every vCPU (see World.SetPhase).
-func (c *VCPU) setPhase(phase string) { c.attr.Phase = phase }
+func (c *VCPU) setPhase(phase string) {
+	a := c.attr
+	a.Phase = phase
+	c.setAttr(a)
+}
+
+// setAttr switches this vCPU's attribution to a and re-interns its row.
+func (c *VCPU) setAttr(a obs.Attr) {
+	c.attr = a
+	c.row = c.w.Stats.store.Row(a)
+}
 
 // Attr returns this vCPU's current attribution context.
 func (c *VCPU) Attr() obs.Attr { return c.attr }

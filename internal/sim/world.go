@@ -21,9 +21,6 @@ type World struct {
 	RNG *RNG
 	// Tracer is nil until EnableTrace; see trace.go.
 	Tracer *Tracer
-	// Metrics is nil until EnableMetrics: with it off every charge pays
-	// exactly one extra nil check, preserving the uninstrumented fast path.
-	Metrics *obs.Metrics
 	// Fault is nil unless a fault-injection plan is active; components
 	// consult it through VCPU.InjectAt, which costs one nil check when off.
 	// The injector carries its own seeded PRNG stream, so the fault-free
@@ -64,7 +61,7 @@ func NewWorldN(cost CostModel, seed uint64, n int) *World {
 	w := &World{
 		Clock: NewClock(),
 		Cost:  cost,
-		Stats: NewStats(),
+		Stats: &Stats{store: NewMetrics()},
 		RNG:   NewRNG(seed),
 		seed:  seed,
 	}
@@ -74,7 +71,7 @@ func NewWorldN(cost CostModel, seed uint64, n int) *World {
 		if i > 0 {
 			rng = w.DeriveRNG(uint64(i))
 		}
-		w.vcpus[i] = &VCPU{id: i, w: w, RNG: rng}
+		w.vcpus[i] = &VCPU{id: i, w: w, RNG: rng, row: w.Stats.store.Row(obs.Attr{})}
 	}
 	w.cur = w.vcpus[0]
 	return w
@@ -112,20 +109,16 @@ func (w *World) VCPUs() []*VCPU { return w.vcpus }
 // NumVCPUs reports the vCPU count.
 func (w *World) NumVCPUs() int { return len(w.vcpus) }
 
-// EnableMetrics turns on attributed cycle accounting in a fresh store and
-// returns it.
-func (w *World) EnableMetrics() *obs.Metrics {
-	w.Metrics = obs.NewMetrics()
-	return w.Metrics
-}
-
 // Now is shorthand for w.Clock.Now().
 func (w *World) Now() Cycles { return w.Clock.Now() }
 
 // SetPhase labels all subsequent attribution with an experiment phase
 // (e.g. "E2/cloaked") on every vCPU; the harness sets it per measured region.
+// It also starts the phase's own attributed store, so Stats.Attributed
+// covers exactly the charges made under the label.
 func (w *World) SetPhase(phase string) {
 	w.phase = phase
+	w.Stats.newPhase()
 	for _, c := range w.vcpus {
 		c.setPhase(phase)
 	}

@@ -87,12 +87,13 @@ echo "== shard determinism"
 # Sharding may change wall time only: every row's JSON must be byte-identical
 # between a serial and a 4-way sharded run, at each of its seeds. Columns:
 # gate | experiments (empty: the whole quick suite) | seeds | extra overbench
-# flags | "profile" if the row also writes the sim-time profile artifact,
-# which must match too and render through overprof.
+# flags | artifact: "profile" if the row also writes the sim-time profile,
+# which must match too and render through overprof; "metrics" if it also
+# writes the attributed metrics export, which must match too.
 #   suite      the quick suite (E1-E14, E16, E17); its serial runs are the
-#              VCPUs=1 goldens checked below. It covers E16's migration
-#              sweep, whose capture points and transfer faults derive from
-#              (seed, probe).
+#              VCPUs=1 goldens checked below, so writing metrics must not
+#              change a table. It covers E16's migration sweep, whose
+#              capture points and transfer faults derive from (seed, probe).
 #   vcpus4     the 4-vCPU machine: the seeded interleaving is its only
 #              schedule source
 #   fault      E13: the injected fault schedule is part of the machine
@@ -111,15 +112,15 @@ while IFS='|' read -r gate exps seeds flags artifact; do
             out="$tmpdir/$gate-$s-shards$shards"
             # $flags is split into words on purpose.
             set -- ${exps:+-e "$exps"} $flags
-            if [ "$artifact" = profile ]; then
-                set -- "$@" -profile "$out.profile"
+            if [ -n "$artifact" ]; then
+                set -- "$@" "-$artifact" "$out.$artifact"
             fi
             if ! "$tmpdir/overbench" -seed "$s" -shards "$shards" -json "$@" > "$out.json" 2> "$out.err"; then
                 cat "$out.err" >&2
                 exit 1
             fi
         done
-        for f in json profile; do
+        for f in json profile metrics; do
             a="$tmpdir/$gate-$s-shards1.$f"
             b="$tmpdir/$gate-$s-shards4.$f"
             [ -f "$a" ] || continue
@@ -135,7 +136,7 @@ while IFS='|' read -r gate exps seeds flags artifact; do
     done
     echo "$gate: seeds $seeds shard-independent"
 done <<'ROWS'
-suite||1 42||
+suite||1 42||metrics
 vcpus4||1 42|-vcpus 4|
 fault|E13|3 11||
 profile|E2|3 11||profile
