@@ -143,10 +143,8 @@ func runDeterminism(pass *Pass) {
 			if !serializingPkgs[pass.Pkg.Path] {
 				return true
 			}
-			if tv := info.TypeOf(n.X); tv != nil {
-				if _, isMap := tv.Underlying().(*types.Map); isMap {
-					pass.Report(n.Pos(), "map iteration order is nondeterministic: sort keys before serializing")
-				}
+			if isMapType(info.TypeOf(n.X)) {
+				pass.Report(n.Pos(), "map iteration order is nondeterministic: sort keys before serializing")
 			}
 		}
 		return true
@@ -182,4 +180,41 @@ func checkInjectorSeed(pass *Pass, call *ast.CallExpr) {
 		pass.Report(s.Pos(), "fault.NewInjector seed calls %s.%s: injector seeds must derive from the simulation seed, never host randomness", obj.Pkg().Name(), obj.Name())
 		return false
 	})
+}
+
+// isMapType reports whether ranging over a value of type t iterates a map:
+// t's underlying type is a map, or t is a type parameter whose core type is
+// one. A range over a type parameter compiles only when its type set has a
+// core type, so one map term in the constraint means every term is a map.
+func isMapType(t types.Type) bool {
+	if tp, ok := t.(*types.TypeParam); ok {
+		return constraintHasMap(tp.Constraint())
+	}
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+// constraintHasMap reports whether a constraint's type set contains a map
+// type, looking through unions and embedded constraint interfaces.
+func constraintHasMap(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Map:
+		return true
+	case *types.Interface:
+		for i := 0; i < u.NumEmbeddeds(); i++ {
+			if constraintHasMap(u.EmbeddedType(i)) {
+				return true
+			}
+		}
+	case *types.Union:
+		for i := 0; i < u.Len(); i++ {
+			if constraintHasMap(u.Term(i).Type()) {
+				return true
+			}
+		}
+	}
+	return false
 }

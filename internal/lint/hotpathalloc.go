@@ -149,10 +149,8 @@ func checkHotFunc(pass *Pass, fi *FuncInfo) {
 				}
 			}
 		case *ast.RangeStmt:
-			if tv, ok := info.Types[n.X]; ok {
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					report(n.Pos(), "map range (randomized order, cache-hostile)")
-				}
+			if isMapType(info.TypeOf(n.X)) {
+				report(n.Pos(), "map range (randomized order, cache-hostile)")
 			}
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD {

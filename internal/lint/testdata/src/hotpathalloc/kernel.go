@@ -43,6 +43,17 @@ func (k *Kernel) helper(n int) {
 	for g := range k.seen { // want `map range \(randomized order, cache-hostile\) on hot path \(Kernel\.helper\)`
 		_ = g
 	}
+	_ = countKeys(k.seen) // want `interface boxing \(map\[int\]bool to M\)`
+}
+
+// countKeys is hot by reachability, and its range over a type parameter
+// whose core type is a map is a map range.
+func countKeys[M ~map[K]V, K comparable, V any](m M) int {
+	n := 0
+	for range m { // want `map range \(randomized order, cache-hostile\) on hot path \(countKeys\)`
+		n++
+	}
+	return n
 }
 
 func (k *Kernel) name(s string, v int) string {

@@ -58,3 +58,36 @@ func (j *journal) sliceSweep(recs []uint64) {
 		j.out = append(j.out, byte(v))
 	}
 }
+
+// mapOf is a named constraint whose core type is a map.
+type mapOf[K comparable, V any] interface{ ~map[K]V }
+
+// keysGeneric ranges a type parameter whose core type is a map. That is a
+// map range like any other: a generic helper must not hide map iteration
+// from the rule.
+func keysGeneric[M ~map[K]V, K comparable, V any](m M) []K {
+	var ks []K
+	for k := range m { // want `map iteration order is nondeterministic: sort keys before serializing`
+		ks = append(ks, k)
+	}
+	return ks
+}
+
+// countGeneric reaches the map core type through a named constraint.
+func countGeneric[M mapOf[K, V], K comparable, V any](m M) int {
+	n := 0
+	for range m { // want `map iteration order is nondeterministic: sort keys before serializing`
+		n++
+	}
+	return n
+}
+
+// sumGeneric ranges a type parameter whose core type is a slice: ordered,
+// no finding.
+func sumGeneric[S ~[]E, E ~uint64](s S) E {
+	var t E
+	for _, v := range s {
+		t += v
+	}
+	return t
+}
