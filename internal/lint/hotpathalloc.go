@@ -195,6 +195,8 @@ func checkHotCall(info *types.Info, call *ast.CallExpr, report func(token.Pos, s
 
 // checkBoxing flags concrete values passed to interface parameters (each
 // boxes unless the value is pointer-shaped and escapes analysis elsewhere).
+// A generic callee is checked against its instantiated signature: a type
+// parameter does not box, but one instantiated with an interface type does.
 func checkBoxing(info *types.Info, call *ast.CallExpr, callee types.Object, report func(token.Pos, string)) {
 	if callee == nil {
 		return
@@ -202,6 +204,9 @@ func checkBoxing(info *types.Info, call *ast.CallExpr, callee types.Object, repo
 	sig, ok := callee.Type().(*types.Signature)
 	if !ok {
 		return
+	}
+	if inst, ok := info.TypeOf(call.Fun).(*types.Signature); ok {
+		sig = inst
 	}
 	params := sig.Params()
 	for i, arg := range call.Args {

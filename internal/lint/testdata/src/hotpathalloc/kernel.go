@@ -4,7 +4,11 @@
 // identical code outside the closure must stay silent.
 package guestos
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 type node struct{ v int }
 
@@ -27,6 +31,7 @@ func (k *Kernel) switchTo(n int) {
 	k.lits()
 	k.traced(n)
 	k.allowedAlloc()
+	k.sorted(k.runq)
 	if n < 0 {
 		// Failure paths are cold: the panic argument may allocate.
 		panic(fmt.Sprintf("bad slice %d", n))
@@ -43,7 +48,7 @@ func (k *Kernel) helper(n int) {
 	for g := range k.seen { // want `map range \(randomized order, cache-hostile\) on hot path \(Kernel\.helper\)`
 		_ = g
 	}
-	_ = countKeys(k.seen) // want `interface boxing \(map\[int\]bool to M\)`
+	_ = countKeys(k.seen)
 }
 
 // countKeys is hot by reachability, and its range over a type parameter
@@ -72,6 +77,19 @@ func (k *Kernel) box(v int) {
 }
 
 func sink(x interface{}) { _ = x }
+
+// sorted passes values to type-parameter parameters: a type parameter does
+// not box, so the generic sort and comparator are accepted. A concrete value
+// passed to an any parameter still boxes.
+func (k *Kernel) sorted(xs []int) {
+	slices.SortFunc(xs, cmp.Compare[int])
+	slices.SortFunc(xs, func(a, b int) int { return cmp.Or(cmp.Compare(a%2, b%2), cmp.Compare(a, b)) })
+	k.runq = slices.Insert(k.runq, 0, xs...)
+	sinkAny(xs[0])        // want `interface boxing \(int to any\) on hot path \(Kernel\.sorted\)`
+	_ = fmt.Sprint(xs[0]) // want `allocating call \(fmt\.Sprint\) on hot path \(Kernel\.sorted\)` `interface boxing \(int to any\) on hot path \(Kernel\.sorted\)`
+}
+
+func sinkAny(x any) { _ = x }
 
 // Error construction is cold even inside a hot function.
 func (k *Kernel) fail(n int) error {
