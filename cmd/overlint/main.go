@@ -28,7 +28,8 @@
 // 1 when findings are reported, and 2 when loading or analysis fails.
 // Findings can be suppressed, with a recorded justification, by
 // "//overlint:allow <analyzer> -- <reason>" on or directly above the
-// offending line.
+// offending line. A directive with no reason, or one naming an analyzer
+// that ran and found nothing there, is itself a finding.
 package main
 
 import (

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/token"
 	"strings"
 )
@@ -13,27 +14,32 @@ import (
 // analyzer, for the name "*") on the directive's own line or on the line
 // immediately below it, so it can sit either at the end of the offending
 // line or on its own line just above. The "-- reason" part is mandatory:
-// an exception without a recorded justification is itself a finding.
+// an exception without a recorded justification is itself a finding. So is
+// a stale one: an analyzer name that suppressed nothing, in a run where
+// that analyzer checked the directive's package.
 
 const allowPrefix = "//overlint:allow"
 
 // allowDirective is one parsed //overlint:allow comment.
 type allowDirective struct {
+	Pkg       string // import path of the package holding the comment
 	File      string
-	Line      int
+	Line, Col int
 	Analyzers []string // "*" means all
 	Reason    string
+	used      map[string]bool // names that suppressed a finding
 }
 
 // allowSet indexes directives for suppression lookups.
 type allowSet struct {
-	byLine map[string]map[int][]allowDirective
+	all    []*allowDirective // in source order
+	byLine map[string]map[int][]*allowDirective
 }
 
 // parseAllows scans every comment in the loaded packages, returning the
 // directive set plus findings for malformed directives (missing reason).
 func parseAllows(fset *token.FileSet, pkgs []*Package) (*allowSet, []Finding) {
-	set := &allowSet{byLine: make(map[string]map[int][]allowDirective)}
+	set := &allowSet{byLine: make(map[string]map[int][]*allowDirective)}
 	var bad []Finding
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
@@ -52,13 +58,14 @@ func parseAllows(fset *token.FileSet, pkgs []*Package) (*allowSet, []Finding) {
 						})
 						continue
 					}
-					d.File, d.Line = pos.Filename, pos.Line
+					d.Pkg, d.File, d.Line, d.Col = pkg.Path, pos.Filename, pos.Line, pos.Column
 					m := set.byLine[d.File]
 					if m == nil {
-						m = make(map[int][]allowDirective)
+						m = make(map[int][]*allowDirective)
 						set.byLine[d.File] = m
 					}
-					m[d.Line] = append(m[d.Line], d)
+					m[d.Line] = append(m[d.Line], &d)
+					set.all = append(set.all, &d)
 				}
 			}
 		}
@@ -91,7 +98,8 @@ func parseAllowText(text string) (allowDirective, bool) {
 	return d, true
 }
 
-// allows reports whether a finding by analyzer at file:line is suppressed.
+// allows reports whether a finding by analyzer at file:line is suppressed,
+// and marks the name that suppressed it as used.
 func (s *allowSet) allows(analyzer, file string, line int) bool {
 	m := s.byLine[file]
 	if m == nil {
@@ -101,10 +109,52 @@ func (s *allowSet) allows(analyzer, file string, line int) bool {
 		for _, d := range m[l] {
 			for _, name := range d.Analyzers {
 				if name == analyzer || name == "*" {
+					if d.used == nil {
+						d.used = make(map[string]bool)
+					}
+					d.used[name] = true
 					return true
 				}
 			}
 		}
 	}
 	return false
+}
+
+// stale reports every directive name that suppressed nothing. A name is
+// judged only when its analyzer ran over the directive's package (ran lists
+// the analyzers, analyzed selects the packages): an allow for an analyzer
+// this run skipped may still be load-bearing. "*" is judged only when the
+// whole production set ran.
+func (s *allowSet) stale(ran map[string]bool, analyzed func(pkgPath string) bool) []Finding {
+	var out []Finding
+	for _, d := range s.all {
+		if !analyzed(d.Pkg) {
+			continue
+		}
+		for _, name := range d.Analyzers {
+			if d.used[name] || !ranAll(ran, name) {
+				continue
+			}
+			out = append(out, Finding{
+				File: d.File, Line: d.Line, Col: d.Col,
+				Analyzer: "overlint",
+				Message:  fmt.Sprintf("stale directive: %s reports nothing here to suppress", name),
+			})
+		}
+	}
+	return out
+}
+
+// ranAll reports whether the analyzers a directive name covers all ran.
+func ranAll(ran map[string]bool, name string) bool {
+	if name != "*" {
+		return ran[name]
+	}
+	for _, a := range Analyzers() {
+		if !ran[a.Name] {
+			return false
+		}
+	}
+	return true
 }

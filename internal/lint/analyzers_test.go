@@ -1,6 +1,9 @@
 package lint
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // Each analyzer runs over a testdata package presented under a production
 // import path, so the analyzers' package-path gates fire exactly as on the
@@ -90,7 +93,9 @@ func TestCycleChargeAnalyzer(t *testing.T) {
 }
 
 // TestAnalyzerGatesOtherPackages checks the package-path gates: the same
-// testdata loaded under an unchecked import path must produce no findings.
+// testdata loaded under an unchecked import path must produce no analyzer
+// findings. Its one allow directive then has nothing to suppress, so the
+// only finding is that directive reported stale.
 func TestAnalyzerGatesOtherPackages(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {
@@ -104,7 +109,13 @@ func TestAnalyzerGatesOtherPackages(t *testing.T) {
 	}
 	findings := Analyze(loader, loader.order, []*Analyzer{DeterminismAnalyzer}, nil)
 	for _, f := range findings {
+		if f.Analyzer == "overlint" && strings.HasPrefix(f.Message, "stale directive: determinism") {
+			continue
+		}
 		t.Errorf("unexpected finding outside checked set: %s", f)
+	}
+	if len(findings) != 1 {
+		t.Errorf("got %d findings, want only the stale allow: %v", len(findings), findings)
 	}
 }
 

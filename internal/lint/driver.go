@@ -58,14 +58,15 @@ func Run(w io.Writer, dir string, opts Options) ([]Finding, error) {
 
 // Analyze runs the analyzers (production set if nil) over every package
 // matching patterns and returns allow-filtered, sorted findings. Malformed
-// allow directives are themselves reported.
+// and stale allow directives are themselves reported.
 func Analyze(loader *Loader, pkgs []*Package, analyzers []*Analyzer, patterns []string) []Finding {
 	if analyzers == nil {
 		analyzers = Analyzers()
 	}
 	allows, findings := parseAllows(loader.Fset, pkgs)
+	selected := func(pkgPath string) bool { return matchAny(patterns, loader.ModulePath, pkgPath) }
 	for _, pkg := range pkgs {
-		if !matchAny(patterns, loader.ModulePath, pkg.Path) {
+		if !selected(pkg.Path) {
 			continue
 		}
 		for _, a := range analyzers {
@@ -85,6 +86,11 @@ func Analyze(loader *Loader, pkgs []*Package, analyzers []*Analyzer, patterns []
 			kept = append(kept, f)
 		}
 	}
+	ran := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
+	kept = append(kept, allows.stale(ran, selected)...)
 	sort.Slice(kept, func(i, j int) bool {
 		a, b := kept[i], kept[j]
 		if a.File != b.File {

@@ -3,6 +3,7 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -114,8 +115,51 @@ func TestMalformedAllowIsAFinding(t *testing.T) {
 	}
 }
 
+// TestStaleAllowIsAFinding checks that an allow name which suppressed
+// nothing is reported under analyzer "overlint", but only in a run where
+// that analyzer checked the directive's package.
+func TestStaleAllowIsAFinding(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const path = "overshadow/internal/sim"
+	loader.Overrides = map[string]string{path: "testdata/src/staleallow"}
+	if _, err := loader.Load(path); err != nil {
+		t.Fatal(err)
+	}
+	stale := func(patterns []string, analyzers ...*Analyzer) string {
+		var lines []string
+		for _, f := range Analyze(loader, loader.order, analyzers, patterns) {
+			if f.Analyzer != "overlint" {
+				t.Errorf("unexpected finding: %s", f)
+				continue
+			}
+			lines = append(lines, fmt.Sprintf("%d: %s", f.Line, f.Message))
+		}
+		return strings.Join(lines, "\n")
+	}
+	// Only determinism ran: its unused name is stale, and the hotpathalloc
+	// names cannot be judged.
+	want := "13: stale directive: determinism reports nothing here to suppress"
+	if got := stale(nil, DeterminismAnalyzer); got != want {
+		t.Errorf("determinism run: got\n%s\nwant\n%s", got, want)
+	}
+	// Both ran: every unused name is stale, each used one is not.
+	want = "13: stale directive: determinism reports nothing here to suppress\n" +
+		"18: stale directive: hotpathalloc reports nothing here to suppress\n" +
+		"23: stale directive: hotpathalloc reports nothing here to suppress"
+	if got := stale(nil, DeterminismAnalyzer, HotPathAllocAnalyzer); got != want {
+		t.Errorf("determinism+hotpathalloc run: got\n%s\nwant\n%s", got, want)
+	}
+	// A package the patterns did not select was not analyzed at all.
+	if got := stale([]string{"overshadow/internal/vmm"}, DeterminismAnalyzer); got != "" {
+		t.Errorf("unselected package: got\n%s\nwant nothing", got)
+	}
+}
+
 func TestAllowSuppression(t *testing.T) {
-	set := &allowSet{byLine: map[string]map[int][]allowDirective{
+	set := &allowSet{byLine: map[string]map[int][]*allowDirective{
 		"k.go": {
 			10: {{Analyzers: []string{"determinism"}}},
 			20: {{Analyzers: []string{"*"}}},

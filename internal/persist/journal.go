@@ -241,13 +241,11 @@ type TableEntry struct {
 
 // Entries returns a copy of the live table in deterministic PageID order.
 func (j *Journal) Entries() []TableEntry {
-	//overlint:allow hotpathalloc -- migration-capture snapshot, not per-append work
 	out := make([]TableEntry, 0, len(j.table))
-	//overlint:allow determinism,hotpathalloc -- entries are collected then sorted before use
+	//overlint:allow determinism -- entries are collected then sorted before use
 	for id, e := range j.table {
 		out = append(out, TableEntry{ID: id, Entry: e})
 	}
-	//overlint:allow hotpathalloc -- snapshot sort; once per capture
 	sort.Slice(out, func(a, b int) bool { return pageIDLess(out[a].ID, out[b].ID) })
 	return out
 }

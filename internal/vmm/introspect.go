@@ -170,7 +170,7 @@ func (in *Introspector) Scan() {
 	//overlint:allow hotpathalloc -- periodic monitor pass, amortized over `every` context switches
 	domains := make([]cloak.DomainID, 0, len(v.domainSpaces))
 	// Keys are sorted before use; iteration order cannot escape.
-	//overlint:allow determinism,hotpathalloc -- keys collected then sorted
+	//overlint:allow hotpathalloc -- keys collected then sorted
 	for d := range v.domainSpaces {
 		if !v.quarantined[d] {
 			domains = append(domains, d)
@@ -277,7 +277,6 @@ func (in *Introspector) Report() IntrospectReport {
 	}
 	doms := make([]cloak.DomainID, 0, len(in.doms))
 	// Keys are sorted below; iteration order cannot reach the report.
-	//overlint:allow determinism -- keys collected then sorted
 	for d := range in.doms {
 		doms = append(doms, d)
 	}

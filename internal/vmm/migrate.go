@@ -31,9 +31,7 @@ type ThreadState struct {
 // ID. Intended to run at a scheduler dispatch boundary (the migration hook),
 // where no thread is mid-crossing.
 func (v *VMM) DomainThreadStates(d cloak.DomainID) []ThreadState {
-	//overlint:allow hotpathalloc -- migration capture, once per checkpoint
 	out := make([]ThreadState, 0, len(v.threads))
-	//overlint:allow determinism,hotpathalloc -- threads are collected then sorted by ID before use
 	for _, t := range v.threads {
 		if t.Domain != d {
 			continue
@@ -46,7 +44,6 @@ func (v *VMM) DomainThreadStates(d cloak.DomainID) []ThreadState {
 		}
 		out = append(out, st)
 	}
-	//overlint:allow hotpathalloc -- migration snapshot sort; once per capture
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
@@ -69,19 +66,15 @@ func (v *VMM) ResidentCiphertexts(d cloak.DomainID) []ResidentPage {
 		gppn mach.GPPN
 		cp   *cloakPage
 	}
-	//overlint:allow hotpathalloc -- migration capture, once per checkpoint
 	regs := make([]resident, 0, len(v.byDomain[d]))
-	//overlint:allow determinism,hotpathalloc -- registrations are collected then sorted before use
 	for gppn, cp := range v.byDomain[d] {
 		if cp.state == stateEncrypted {
 			regs = append(regs, resident{gppn, cp})
 		}
 	}
-	//overlint:allow hotpathalloc -- migration snapshot sort; once per capture
 	sort.Slice(regs, func(i, j int) bool {
 		return pageIDLess(regs[i].cp.id, regs[j].cp.id)
 	})
-	//overlint:allow hotpathalloc -- migration capture output, once per checkpoint
 	out := make([]ResidentPage, 0, len(regs))
 	for _, r := range regs {
 		id := r.cp.id
@@ -96,7 +89,6 @@ func (v *VMM) ResidentCiphertexts(d cloak.DomainID) []ResidentPage {
 		if frame == nil {
 			continue
 		}
-		//overlint:allow hotpathalloc -- ciphertext export buffer, one per captured page
 		data := make([]byte, mach.PageSize)
 		copy(data, frame)
 		v.chargeCopy(mach.PageSize)
