@@ -14,9 +14,8 @@ import (
 //
 // The graph is an under-approximation on dynamic calls: a call through a
 // function value, interface method, or field-stored callback resolves to no
-// edge. Method *values* (x.M referenced without being called) are recorded
-// as separate ref edges so analyzers can choose whether passing a function
-// around counts as reaching it.
+// edge, and referencing a function as a value (x.M, a callback argument)
+// is not a call.
 
 // FuncInfo indexes one declared function or method of the module.
 type FuncInfo struct {
@@ -35,10 +34,6 @@ type ModuleGraph struct {
 	// Calls maps caller -> statically resolved callees (in source order,
 	// duplicates preserved; closures are attributed to the enclosing decl).
 	Calls map[types.Object][]types.Object
-	// Refs maps caller -> function/method objects referenced as values
-	// (method values, functions passed as callbacks) without being the
-	// operand of a call.
-	Refs map[types.Object][]types.Object
 }
 
 // buildModuleGraph scans every function declaration of the loaded packages.
@@ -46,7 +41,6 @@ func buildModuleGraph(pkgs []*Package) *ModuleGraph {
 	g := &ModuleGraph{
 		Funcs: make(map[types.Object]*FuncInfo),
 		Calls: make(map[types.Object][]types.Object),
-		Refs:  make(map[types.Object][]types.Object),
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
@@ -69,45 +63,21 @@ func buildModuleGraph(pkgs []*Package) *ModuleGraph {
 	return g
 }
 
-// scanBody records call and ref edges from caller's body. Idents naming
-// functions that are not the operand of a call become ref edges.
+// scanBody records the call edges from caller's body.
 func (g *ModuleGraph) scanBody(info *types.Info, caller types.Object, body *ast.BlockStmt) {
-	// callOperands marks the Fun idents of call expressions so the second
-	// walk can tell a call from a reference to the same function.
-	callOperands := make(map[*ast.Ident]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			callOperands[fun] = true
-		case *ast.SelectorExpr:
-			callOperands[fun.Sel] = true
-		}
-		if callee := calleeObject(info, call); callee != nil {
-			g.Calls[caller] = append(g.Calls[caller], callee)
-		}
-		return true
-	})
-	ast.Inspect(body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || callOperands[id] {
-			return true
-		}
-		if fn, ok := info.Uses[id].(*types.Func); ok {
-			g.Refs[caller] = append(g.Refs[caller], fn)
+		if call, ok := n.(*ast.CallExpr); ok {
+			if callee := calleeObject(info, call); callee != nil {
+				g.Calls[caller] = append(g.Calls[caller], callee)
+			}
 		}
 		return true
 	})
 }
 
 // reachableFrom computes the forward closure over call edges from the given
-// roots (the roots themselves included). When withRefs is true, referencing
-// a function as a value counts as reaching it — the conservative choice for
-// "could run on this path" questions.
-func (g *ModuleGraph) reachableFrom(roots []types.Object, withRefs bool) map[types.Object]bool {
+// roots (the roots themselves included).
+func (g *ModuleGraph) reachableFrom(roots []types.Object) map[types.Object]bool {
 	reach := make(map[types.Object]bool)
 	work := append([]types.Object(nil), roots...)
 	for len(work) > 0 {
@@ -118,17 +88,15 @@ func (g *ModuleGraph) reachableFrom(roots []types.Object, withRefs bool) map[typ
 		}
 		reach[o] = true
 		work = append(work, g.Calls[o]...)
-		if withRefs {
-			work = append(work, g.Refs[o]...)
-		}
 	}
 	return reach
 }
 
 // canReach propagates a direct fact set backward over call edges to a
 // fixpoint: the result maps every function that can reach a function in
-// direct. This is the closure cyclecharge has always used.
-func (g *ModuleGraph) canReach(direct map[types.Object]bool) map[types.Object]bool {
+// direct without calling through a callee for which skip is true. The graph
+// is small (one module), so the quadratic worst case is irrelevant.
+func (g *ModuleGraph) canReach(direct map[types.Object]bool, skip func(types.Object) bool) map[types.Object]bool {
 	reach := make(map[types.Object]bool, len(direct))
 	for o := range direct {
 		reach[o] = true
@@ -140,7 +108,7 @@ func (g *ModuleGraph) canReach(direct map[types.Object]bool) map[types.Object]bo
 				continue
 			}
 			for _, callee := range callees {
-				if reach[callee] {
+				if reach[callee] && !skip(callee) {
 					reach[caller] = true
 					changed = true
 					break

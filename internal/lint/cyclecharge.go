@@ -105,36 +105,9 @@ func newChargeFacts(g *ModuleGraph) *chargeFacts {
 		}
 	}
 	return &chargeFacts{
-		touchesAll: closureSkippingObservers(g, touchesDirect),
-		chargesAll: closureSkippingObservers(g, chargesDirect),
+		touchesAll: g.canReach(touchesDirect, isObserverPrimitive),
+		chargesAll: g.canReach(chargesDirect, isObserverPrimitive),
 	}
-}
-
-// closureSkippingObservers propagates a direct fact set backward over call
-// edges to a fixpoint, refusing to propagate through edges whose callee is
-// an observer primitive. The graph is small (one module), so the quadratic
-// worst case is irrelevant.
-func closureSkippingObservers(g *ModuleGraph, direct map[types.Object]bool) map[types.Object]bool {
-	reach := make(map[types.Object]bool, len(direct))
-	for o := range direct {
-		reach[o] = true
-	}
-	for changed := true; changed; {
-		changed = false
-		for caller, callees := range g.Calls {
-			if reach[caller] {
-				continue
-			}
-			for _, callee := range callees {
-				if reach[callee] && !isObserverPrimitive(callee) {
-					reach[caller] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return reach
 }
 
 // calleeObject resolves the statically-known target of a call, if any.

@@ -36,8 +36,8 @@ func TestModuleGraphEdges(t *testing.T) {
 	loader, pkg := loadEngineTestPkg(t, "overshadow/internal/core", "testdata/src/callgraph")
 	g := buildModuleGraph(loader.order)
 
-	hasEdge := func(edges map[types.Object][]types.Object, from, to types.Object) bool {
-		for _, o := range edges[from] {
+	hasEdge := func(from, to types.Object) bool {
+		for _, o := range g.Calls[from] {
 			if o == to {
 				return true
 			}
@@ -48,46 +48,40 @@ func TestModuleGraphEdges(t *testing.T) {
 	entry := scopeObj(t, pkg, "entry")
 	a := scopeObj(t, pkg, "a")
 	b := scopeObj(t, pkg, "b")
-	if !hasEdge(g.Calls, entry, a) {
+	if !hasEdge(entry, a) {
 		t.Error("missing call edge entry -> a")
 	}
-	if !hasEdge(g.Calls, a, b) || !hasEdge(g.Calls, b, a) {
+	if !hasEdge(a, b) || !hasEdge(b, a) {
 		t.Error("missing mutual-recursion edges a <-> b")
 	}
 
 	// Forward closure over a cycle terminates and contains both sides.
-	reach := g.reachableFrom([]types.Object{entry}, false)
+	reach := g.reachableFrom([]types.Object{entry})
 	for _, o := range []types.Object{entry, a, b} {
 		if !reach[o] {
 			t.Errorf("reachableFrom(entry) misses %s", o.Name())
 		}
 	}
 
-	// A function referenced as a value is a ref edge, not a call edge, and
-	// only withRefs closures include it.
+	// A function referenced as a value is not called, so it is neither a
+	// call edge nor in the forward closure.
 	viaValue := scopeObj(t, pkg, "viaValue")
 	helperMV := scopeObj(t, pkg, "helperMV")
-	if hasEdge(g.Calls, viaValue, helperMV) {
+	if hasEdge(viaValue, helperMV) {
 		t.Error("function value reference must not be a call edge")
 	}
-	if !hasEdge(g.Refs, viaValue, helperMV) {
-		t.Error("missing ref edge viaValue -> helperMV")
-	}
-	if g.reachableFrom([]types.Object{viaValue}, false)[helperMV] {
-		t.Error("withRefs=false closure must not include value-referenced functions")
-	}
-	if !g.reachableFrom([]types.Object{viaValue}, true)[helperMV] {
-		t.Error("withRefs=true closure must include value-referenced functions")
+	if g.reachableFrom([]types.Object{viaValue})[helperMV] {
+		t.Error("forward closure must not include value-referenced functions")
 	}
 
 	// A call inside a function literal is attributed to the enclosing decl.
 	viaClosure := scopeObj(t, pkg, "viaClosure")
 	closTarget := scopeObj(t, pkg, "closTarget")
-	if !hasEdge(g.Calls, viaClosure, closTarget) {
+	if !hasEdge(viaClosure, closTarget) {
 		t.Error("missing closure-attributed call edge viaClosure -> closTarget")
 	}
 
-	// A bound method value x.M is a ref edge to the method object.
+	// A bound method value x.M is not a call of the method.
 	methodValue := scopeObj(t, pkg, "methodValue")
 	named := scopeObj(t, pkg, "T").(*types.TypeName).Type().(*types.Named)
 	var m types.Object
@@ -99,10 +93,7 @@ func TestModuleGraphEdges(t *testing.T) {
 	if m == nil {
 		t.Fatal("no method T.M")
 	}
-	if !hasEdge(g.Refs, methodValue, m) {
-		t.Error("missing ref edge methodValue -> T.M")
-	}
-	if hasEdge(g.Calls, methodValue, m) {
+	if hasEdge(methodValue, m) {
 		t.Error("bound method value must not be a call edge")
 	}
 }

@@ -106,7 +106,7 @@ func hotClosureOf(g *ModuleGraph) map[types.Object]bool {
 			}
 		}
 	}
-	cachedHot, cachedHotGraph = g.reachableFrom(roots, false), g
+	cachedHot, cachedHotGraph = g.reachableFrom(roots), g
 	return cachedHot
 }
 
