@@ -11,6 +11,7 @@
 package cloak
 
 import (
+	"cmp"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
@@ -44,6 +45,12 @@ type PageID struct {
 	Domain   DomainID
 	Resource ResourceID
 	Index    uint64 // page index within the resource
+}
+
+// Compare orders PageIDs by (domain, resource, index), the order in which
+// the journal serializes them and migration capture enumerates them.
+func (p PageID) Compare(q PageID) int {
+	return cmp.Or(cmp.Compare(p.Domain, q.Domain), cmp.Compare(p.Resource, q.Resource), cmp.Compare(p.Index, q.Index))
 }
 
 // String implements fmt.Stringer.

@@ -1,8 +1,9 @@
 package guestos
 
 import (
-	"sort"
+	"cmp"
 
+	"overshadow/internal/ordered"
 	"overshadow/internal/vmm"
 )
 
@@ -14,13 +15,8 @@ import (
 // a typed divergence, not a blind spot.
 func (k *Kernel) IntrospectClaims() *vmm.IntrospectClaims {
 	claims := &vmm.IntrospectClaims{}
-	pids := make([]int, 0, len(k.procs))
-	for pid := range k.procs {
-		pids = append(pids, int(pid))
-	}
-	sort.Ints(pids)
-	for _, pid := range pids {
-		p := k.procs[Pid(pid)]
+	for _, pid := range ordered.Keys(k.procs, cmp.Compare[Pid]) {
+		p := k.procs[pid]
 		if p.state == stateZombie || p.thread == nil {
 			continue
 		}

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/types"
 	"strings"
 	"testing"
 )
@@ -69,6 +70,27 @@ func TestPlaintextFlowAnalyzer(t *testing.T) {
 func TestHotPathAllocAnalyzer(t *testing.T) {
 	runWantTest(t, HotPathAllocAnalyzer,
 		"overshadow/internal/guestos", "testdata/src/hotpathalloc")
+}
+
+// TestHotPathAllocStopsAtOrderedKeys checks that a hot call of ordered.Keys
+// is reported at the call site only: the hot closure does not enter the
+// helper, whose map range and append are its reviewed implementation.
+func TestHotPathAllocStopsAtOrderedKeys(t *testing.T) {
+	loader, _ := loadEngineTestPkg(t, "overshadow/internal/guestos", "testdata/src/hotpathalloc")
+	g := moduleGraphOf(loader.order)
+	inOrdered := func(o types.Object) bool { return o.Pkg() != nil && o.Pkg().Path() == orderedPkgPath }
+	called := false
+	for o := range hotClosureOf(g) {
+		if inOrdered(o) {
+			t.Errorf("hot closure enters %s.%s", o.Pkg().Name(), o.Name())
+		}
+		for _, c := range g.Calls[o] {
+			called = called || inOrdered(c)
+		}
+	}
+	if !called {
+		t.Error("no hot function calls ordered.Keys")
+	}
 }
 
 // TestHotPathAllocProfilerRoots loads a profiler-shaped package under the

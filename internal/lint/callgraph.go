@@ -76,14 +76,15 @@ func (g *ModuleGraph) scanBody(info *types.Info, caller types.Object, body *ast.
 }
 
 // reachableFrom computes the forward closure over call edges from the given
-// roots (the roots themselves included).
-func (g *ModuleGraph) reachableFrom(roots []types.Object) map[types.Object]bool {
+// roots (the roots themselves included). It does not enter a callee for
+// which skip is true.
+func (g *ModuleGraph) reachableFrom(roots []types.Object, skip func(types.Object) bool) map[types.Object]bool {
 	reach := make(map[types.Object]bool)
 	work := append([]types.Object(nil), roots...)
 	for len(work) > 0 {
 		o := work[len(work)-1]
 		work = work[:len(work)-1]
-		if o == nil || reach[o] {
+		if o == nil || reach[o] || skip(o) {
 			continue
 		}
 		reach[o] = true

@@ -21,8 +21,9 @@ import (
 // Packages that serialize bytes onto simulated stable storage
 // (internal/persist) carry one extra rule: no ranging over maps — Go
 // randomizes iteration order, and serialized journal bytes must be a pure
-// function of the simulation history. Order-independent loops are
-// whitelisted with reviewed //overlint:allow comments.
+// function of the simulation history. A range over a type parameter whose
+// core type is a map counts. A sorted key walk goes through ordered.Keys;
+// other order-independent loops carry reviewed //overlint:allow comments.
 //
 // One rule is ungated and applies to every package: the seed argument of
 // fault.NewInjector must be a pure function of the simulation seed. A fault
@@ -60,6 +61,8 @@ var deterministicPkgs = map[string]bool{
 	// transfer channel; the blob must be a pure function of the source
 	// machine's history for migrations to be replayable per seed.
 	"overshadow/internal/migrate": true,
+	// ordered holds the one sorted map walk every other package uses.
+	orderedPkgPath: true,
 }
 
 // serializingPkgs write bytes to simulated stable storage. Inside them a
@@ -77,7 +80,14 @@ var serializingPkgs = map[string]bool{
 	// migrate encodes checkpoint blobs byte-for-byte; map iteration must
 	// never reach the encoder.
 	"overshadow/internal/migrate": true,
+	// ordered.Keys feeds sorted keys to every serializer above; its one map
+	// range is checked here and carries the tree's reviewed
+	// collect-then-sort allow.
+	orderedPkgPath: true,
 }
+
+// orderedPkgPath is the package of the sorted-keys helper.
+const orderedPkgPath = "overshadow/internal/ordered"
 
 // faultPkgPath is the fault-injection package whose injector seeding is
 // checked in every package, gated or not.

@@ -55,12 +55,17 @@ func TestModuleGraphEdges(t *testing.T) {
 		t.Error("missing mutual-recursion edges a <-> b")
 	}
 
-	// Forward closure over a cycle terminates and contains both sides.
-	reach := g.reachableFrom([]types.Object{entry})
+	// Forward closure over a cycle terminates and contains both sides, and
+	// stops at a skipped callee.
+	none := func(types.Object) bool { return false }
+	reach := g.reachableFrom([]types.Object{entry}, none)
 	for _, o := range []types.Object{entry, a, b} {
 		if !reach[o] {
 			t.Errorf("reachableFrom(entry) misses %s", o.Name())
 		}
+	}
+	if reach := g.reachableFrom([]types.Object{entry}, func(o types.Object) bool { return o == b }); reach[b] || !reach[a] {
+		t.Error("reachableFrom(entry) skipping b must hold a and not b")
 	}
 
 	// A function referenced as a value is not called, so it is neither a
@@ -70,7 +75,7 @@ func TestModuleGraphEdges(t *testing.T) {
 	if hasEdge(viaValue, helperMV) {
 		t.Error("function value reference must not be a call edge")
 	}
-	if g.reachableFrom([]types.Object{viaValue})[helperMV] {
+	if g.reachableFrom([]types.Object{viaValue}, none)[helperMV] {
 		t.Error("forward closure must not include value-referenced functions")
 	}
 

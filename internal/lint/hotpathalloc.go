@@ -15,8 +15,9 @@ import (
 // slice, map, and pointer-taken values, append (growth), map ranges
 // (allocation-free but order-randomized and cache-hostile), non-constant
 // string concatenation, string<->[]byte conversions, interface boxing at
-// call sites, and calls to allocating stdlib constructors (crypto New*,
-// fmt.Sprintf and friends).
+// call sites, and calls to allocating constructors (crypto New*,
+// fmt.Sprintf and friends, and ordered.Keys, whose body the closure does
+// not enter).
 //
 // Error paths are cold by construction: arguments to fmt.Errorf, errors.New,
 // and panic are exempt, as are composite literals of error-implementing
@@ -106,7 +107,7 @@ func hotClosureOf(g *ModuleGraph) map[types.Object]bool {
 			}
 		}
 	}
-	cachedHot, cachedHotGraph = g.reachableFrom(roots), g
+	cachedHot, cachedHotGraph = g.reachableFrom(roots, isAllocatingConstructor), g
 	return cachedHot
 }
 
@@ -367,12 +368,16 @@ func isErrorConstructor(obj types.Object) bool {
 }
 
 // isAllocatingConstructor reports whether obj is a known allocating helper:
-// stdlib New*/Sprint* style constructors outside the module.
+// stdlib New*/Sprint* style constructors outside the module, and
+// ordered.Keys, which returns a fresh slice.
 func isAllocatingConstructor(obj types.Object) bool {
 	if obj == nil || obj.Pkg() == nil {
 		return false
 	}
 	path := obj.Pkg().Path()
+	if path == orderedPkgPath {
+		return obj.Name() == "Keys"
+	}
 	if path == "fmt" {
 		switch obj.Name() {
 		case "Sprintf", "Sprint", "Sprintln":

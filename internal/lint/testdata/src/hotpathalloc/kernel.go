@@ -8,6 +8,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"overshadow/internal/ordered"
 )
 
 type node struct{ v int }
@@ -79,12 +81,16 @@ func (k *Kernel) box(v int) {
 func sink(x interface{}) { _ = x }
 
 // sorted passes values to type-parameter parameters: a type parameter does
-// not box, so the generic sort and comparator are accepted. A concrete value
-// passed to an any parameter still boxes.
+// not box, so the generic sort and comparator are accepted. The sorted key
+// walk still allocates its slice, and a concrete value passed to an any
+// parameter still boxes.
 func (k *Kernel) sorted(xs []int) {
 	slices.SortFunc(xs, cmp.Compare[int])
 	slices.SortFunc(xs, func(a, b int) int { return cmp.Or(cmp.Compare(a%2, b%2), cmp.Compare(a, b)) })
 	k.runq = slices.Insert(k.runq, 0, xs...)
+	for _, g := range ordered.Keys(k.seen, cmp.Compare[int]) { // want `allocating call \(ordered\.Keys\) on hot path \(Kernel\.sorted\)`
+		_ = g
+	}
 	sinkAny(xs[0])        // want `interface boxing \(int to any\) on hot path \(Kernel\.sorted\)`
 	_ = fmt.Sprint(xs[0]) // want `allocating call \(fmt\.Sprint\) on hot path \(Kernel\.sorted\)` `interface boxing \(int to any\) on hot path \(Kernel\.sorted\)`
 }

@@ -1,6 +1,10 @@
 package obs
 
-import "sort"
+import (
+	"cmp"
+
+	"overshadow/internal/ordered"
+)
 
 // The profile is the stack-attributed view of cycle accounting: where
 // Metrics answers "which counter, under which task", Profile answers "which
@@ -133,18 +137,13 @@ type HistEntry struct {
 // Hists returns every duration histogram sorted by (kind, domain) — the
 // deterministic order every export uses.
 func (p *Profile) Hists() []HistEntry {
-	out := make([]HistEntry, 0, len(p.hists))
-	// Order-independent: entries are collected, then sorted by key below.
-	//overlint:allow determinism -- keys are collected then sorted before any serialization
-	for k, h := range p.hists {
-		out = append(out, HistEntry{Key: k, Hist: h})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key.Kind != out[j].Key.Kind {
-			return out[i].Key.Kind < out[j].Key.Kind
-		}
-		return out[i].Key.Domain < out[j].Key.Domain
+	keys := ordered.Keys(p.hists, func(a, b HistKey) int {
+		return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Domain, b.Domain))
 	})
+	out := make([]HistEntry, len(keys))
+	for i, k := range keys {
+		out[i] = HistEntry{Key: k, Hist: p.hists[k]}
+	}
 	return out
 }
 
@@ -237,14 +236,8 @@ type FoldedLine struct {
 // roots sorted by phase. The format is directly consumable by standard
 // flame-graph tooling (stack-semicolon-separated, count last).
 func (p *Profile) FoldedLines() []FoldedLine {
-	phases := make([]string, 0, len(p.roots))
-	//overlint:allow determinism -- keys are collected then sorted before serialization
-	for phase := range p.roots {
-		phases = append(phases, phase)
-	}
-	sort.Strings(phases)
 	var out []FoldedLine
-	for _, phase := range phases {
+	for _, phase := range ordered.Keys(p.roots, cmp.Compare[string]) {
 		out = appendFolded(out, p.roots[phase], phase)
 	}
 	return out
@@ -252,27 +245,13 @@ func (p *Profile) FoldedLines() []FoldedLine {
 
 // appendFolded emits node's leaves then recurses into sorted children.
 func appendFolded(out []FoldedLine, n *ProfNode, prefix string) []FoldedLine {
-	leafNames := make([]string, 0, len(n.leaves))
-	//overlint:allow determinism -- keys are collected then sorted before serialization
-	for name := range n.leaves {
-		leafNames = append(leafNames, name)
-	}
-	sort.Strings(leafNames)
-	for _, name := range leafNames {
+	for _, name := range ordered.Keys(n.leaves, cmp.Compare[string]) {
 		out = append(out, FoldedLine{Stack: prefix + ";" + name, Cycles: n.leaves[name]})
 	}
-	keys := make([]frameKey, 0, len(n.children))
-	//overlint:allow determinism -- keys are collected then sorted before serialization
-	for k := range n.children {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].kind != keys[j].kind {
-			return keys[i].kind < keys[j].kind
-		}
-		return keys[i].name < keys[j].name
+	children := ordered.Keys(n.children, func(a, b frameKey) int {
+		return cmp.Or(cmp.Compare(a.kind, b.kind), cmp.Compare(a.name, b.name))
 	})
-	for _, k := range keys {
+	for _, k := range children {
 		out = appendFolded(out, n.children[k], prefix+";"+k.kind.String()+"/"+k.name)
 	}
 	return out

@@ -1,10 +1,11 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -102,10 +103,7 @@ func TopFrames(doc *ProfileJSON, n int) []FrameStat {
 	seen := make(map[string]bool)
 	for _, l := range doc.Folded {
 		frames := strings.Split(l.Stack, ";")
-		//overlint:allow determinism -- commutative set reset; nothing serialized in the loop
-		for k := range seen {
-			delete(seen, k)
-		}
+		clear(seen)
 		for _, f := range frames {
 			if !seen[f] {
 				seen[f] = true
@@ -121,14 +119,8 @@ func TopFrames(doc *ProfileJSON, n int) []FrameStat {
 	for f, t := range total {
 		out = append(out, FrameStat{Frame: f, Self: self[f], Total: t})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Self != out[j].Self {
-			return out[i].Self > out[j].Self
-		}
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		return out[i].Frame < out[j].Frame
+	slices.SortFunc(out, func(a, b FrameStat) int {
+		return cmp.Or(cmp.Compare(b.Self, a.Self), cmp.Compare(b.Total, a.Total), cmp.Compare(a.Frame, b.Frame))
 	})
 	if n > 0 && len(out) > n {
 		out = out[:n]

@@ -2,11 +2,12 @@ package persist
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/mach"
 	"overshadow/internal/obs"
+	"overshadow/internal/ordered"
 	"overshadow/internal/sim"
 )
 
@@ -241,12 +242,11 @@ type TableEntry struct {
 
 // Entries returns a copy of the live table in deterministic PageID order.
 func (j *Journal) Entries() []TableEntry {
-	out := make([]TableEntry, 0, len(j.table))
-	//overlint:allow determinism -- entries are collected then sorted before use
-	for id, e := range j.table {
-		out = append(out, TableEntry{ID: id, Entry: e})
+	ids := ordered.Keys(j.table, cloak.PageID.Compare)
+	out := make([]TableEntry, len(ids))
+	for i, id := range ids {
+		out[i] = TableEntry{ID: id, Entry: j.table[id]}
 	}
-	sort.Slice(out, func(a, b int) bool { return pageIDLess(out[a].ID, out[b].ID) })
 	return out
 }
 
@@ -388,8 +388,7 @@ func (j *Journal) checkpoint() {
 			ids = append(ids, id)
 		}
 	}
-	//overlint:allow hotpathalloc -- checkpoint sort; the boxing and closure are amortized over many appends
-	sort.Slice(ids, func(a, b int) bool { return pageIDLess(ids[a], ids[b]) })
+	slices.SortFunc(ids, cloak.PageID.Compare)
 	n := uint64(len(ids))
 	if n > j.ckptBlocks*RecordsPerBlock {
 		j.wedged = true
@@ -468,16 +467,4 @@ func snapshotDev(e Entry) uint8 {
 		return DevNone
 	}
 	return e.Dev
-}
-
-// pageIDLess orders PageIDs (domain, resource, index) for deterministic
-// serialization and reporting.
-func pageIDLess(a, b cloak.PageID) bool {
-	if a.Domain != b.Domain {
-		return a.Domain < b.Domain
-	}
-	if a.Resource != b.Resource {
-		return a.Resource < b.Resource
-	}
-	return a.Index < b.Index
 }

@@ -2,11 +2,11 @@ package persist
 
 import (
 	"fmt"
-	"sort"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/mach"
 	"overshadow/internal/obs"
+	"overshadow/internal/ordered"
 	"overshadow/internal/sim"
 )
 
@@ -105,15 +105,7 @@ func (r *Result) RejectedBy(reason RejectReason) int {
 // PageIDs returns the table's keys in deterministic (domain, resource,
 // index) order; all recovery iteration goes through this.
 func (r *Result) PageIDs() []cloak.PageID {
-	ids := make([]cloak.PageID, 0, len(r.Table))
-	// Sorted immediately below; no downstream bytes or iteration depend on
-	// map order.
-	//overlint:allow determinism -- keys are collected then sorted before use
-	for id := range r.Table {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return pageIDLess(ids[a], ids[b]) })
-	return ids
+	return ordered.Keys(r.Table, cloak.PageID.Compare)
 }
 
 // Replay walks the reserved range [base, base+blocks) of disk and

@@ -1,11 +1,13 @@
 package vmm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/obs"
+	"overshadow/internal/ordered"
 	"overshadow/internal/sim"
 )
 
@@ -111,13 +113,8 @@ func (r IntrospectReport) Total() uint64 {
 
 // String renders the report deterministically (sorted classes).
 func (r IntrospectReport) String() string {
-	classes := make([]string, 0, len(r.Divergences))
-	for c := range r.Divergences {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
 	s := fmt.Sprintf("vmi: %d scans, %d divergences", r.Scans, r.Total())
-	for _, c := range classes {
+	for _, c := range ordered.Keys(r.Divergences, cmp.Compare[string]) {
 		s += fmt.Sprintf(", %s=%d", c, r.Divergences[c])
 	}
 	s += fmt.Sprintf(" | surface: %d domains, %d cloaked regions, %d cloaked pages",
@@ -176,8 +173,7 @@ func (in *Introspector) Scan() {
 			domains = append(domains, d)
 		}
 	}
-	//overlint:allow hotpathalloc -- periodic monitor pass
-	sort.Slice(domains, func(i, j int) bool { return domains[i] < domains[j] })
+	slices.Sort(domains)
 
 	//overlint:allow hotpathalloc -- periodic monitor pass
 	claimedDomains := make(map[cloak.DomainID]int)
@@ -275,13 +271,8 @@ func (in *Introspector) Report() IntrospectReport {
 	for k, c := range in.counts {
 		counts[k] = c
 	}
-	doms := make([]cloak.DomainID, 0, len(in.doms))
-	// Keys are sorted below; iteration order cannot reach the report.
-	for d := range in.doms {
-		doms = append(doms, d)
-	}
-	sort.Slice(doms, func(i, j int) bool { return doms[i] < doms[j] })
 	return IntrospectReport{
-		Scans: in.scans, Divergences: counts, Domains: doms, Surface: in.surface,
+		Scans: in.scans, Divergences: counts, Surface: in.surface,
+		Domains: ordered.Keys(in.doms, cmp.Compare[cloak.DomainID]),
 	}
 }

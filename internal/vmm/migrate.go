@@ -1,8 +1,9 @@
 package vmm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/mach"
@@ -44,7 +45,7 @@ func (v *VMM) DomainThreadStates(d cloak.DomainID) []ThreadState {
 		}
 		out = append(out, st)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b ThreadState) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -72,9 +73,7 @@ func (v *VMM) ResidentCiphertexts(d cloak.DomainID) []ResidentPage {
 			regs = append(regs, resident{gppn, cp})
 		}
 	}
-	sort.Slice(regs, func(i, j int) bool {
-		return pageIDLess(regs[i].cp.id, regs[j].cp.id)
-	})
+	slices.SortFunc(regs, func(a, b resident) int { return a.cp.id.Compare(b.cp.id) })
 	out := make([]ResidentPage, 0, len(regs))
 	for _, r := range regs {
 		id := r.cp.id
@@ -95,19 +94,6 @@ func (v *VMM) ResidentCiphertexts(d cloak.DomainID) []ResidentPage {
 		out = append(out, ResidentPage{ID: id, Meta: meta, Data: data})
 	}
 	return out
-}
-
-// pageIDLess orders PageIDs (domain, resource, index); mirror of the persist
-// package's ordering so capture enumerates pages the same way the journal
-// serializes them.
-func pageIDLess(a, b cloak.PageID) bool {
-	if a.Domain != b.Domain {
-		return a.Domain < b.Domain
-	}
-	if a.Resource != b.Resource {
-		return a.Resource < b.Resource
-	}
-	return a.Index < b.Index
 }
 
 // AdoptedPage is one sealed metadata record a restore installs for a

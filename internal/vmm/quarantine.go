@@ -1,11 +1,13 @@
 package vmm
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/mach"
 	"overshadow/internal/obs"
+	"overshadow/internal/ordered"
 	"overshadow/internal/sim"
 )
 
@@ -62,14 +64,7 @@ func (v *VMM) quarantine(d cloak.DomainID, cause Event) {
 	// would leak host nondeterminism into the span stream and charges).
 	pages := v.byDomain[d]
 	//overlint:allow hotpathalloc -- quarantine containment path, exceptional by construction
-	gppns := make([]mach.GPPN, 0, len(pages))
-	//overlint:allow hotpathalloc -- quarantine sweep; collected pages are sorted before use
-	for gppn := range pages {
-		gppns = append(gppns, gppn)
-	}
-	//overlint:allow hotpathalloc -- quarantine sort; exceptional path
-	sort.Slice(gppns, func(i, j int) bool { return gppns[i] < gppns[j] })
-	for _, gppn := range gppns {
+	for _, gppn := range ordered.Keys(pages, cmp.Compare[mach.GPPN]) {
 		cp := pages[gppn]
 		if cp.state == statePlain {
 			zeroFrame(v.frame(gppn))
@@ -91,8 +86,7 @@ func (v *VMM) quarantine(d cloak.DomainID, cause Event) {
 			tids = append(tids, id)
 		}
 	}
-	//overlint:allow hotpathalloc -- quarantine sort; exceptional path
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
+	slices.Sort(tids)
 	for _, id := range tids {
 		v.threads[id].revoke()
 	}

@@ -1,6 +1,9 @@
 package vmm
 
 import (
+	"cmp"
+	"slices"
+
 	"overshadow/internal/mach"
 	"overshadow/internal/mmu"
 	"overshadow/internal/sim"
@@ -15,28 +18,11 @@ type shadowRef struct {
 	view View
 }
 
-// shadowRefLess orders refs by (ASID, view, vCPU, VPN), the order in which
-// dropAllShadowsOfGPPN visits a frame's victims.
-func shadowRefLess(a, b shadowRef) bool {
-	switch {
-	case a.as.id != b.as.id:
-		return a.as.id < b.as.id
-	case a.view != b.view:
-		return a.view < b.view
-	case a.cpu != b.cpu:
-		return a.cpu < b.cpu
-	}
-	return a.vpn < b.vpn
-}
-
-// sortShadowRefs sorts refs in place by shadowRefLess. A frame has few
-// mappings, so an insertion sort is enough, and it allocates nothing.
-func sortShadowRefs(refs []shadowRef) {
-	for i := 1; i < len(refs); i++ {
-		for j := i; j > 0 && shadowRefLess(refs[j], refs[j-1]); j-- {
-			refs[j-1], refs[j] = refs[j], refs[j-1]
-		}
-	}
+// compareShadowRefs orders refs by (ASID, view, vCPU, VPN), the order in
+// which dropAllShadowsOfGPPN visits a frame's victims.
+func compareShadowRefs(a, b shadowRef) int {
+	return cmp.Or(cmp.Compare(a.as.id, b.as.id), cmp.Compare(a.view, b.view),
+		cmp.Compare(a.cpu, b.cpu), cmp.Compare(a.vpn, b.vpn))
 }
 
 // The reverse map. Invariant: v.rmap[mpn] lists exactly the present shadow
@@ -108,7 +94,7 @@ func (v *VMM) dropAllShadowsOfGPPN(gppn mach.GPPN) {
 		return
 	}
 	refs := v.rmap[mpn]
-	sortShadowRefs(refs)
+	slices.SortFunc(refs, compareShadowRefs)
 	c := v.cpu()
 	for i, r := range refs {
 		r.as.shadows[r.cpu][r.view].Unmap(r.vpn)

@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"overshadow/internal/mach"
@@ -11,7 +12,7 @@ import (
 
 // sweepShadowRefs is the brute-force form of the reverse map: a scan of
 // every shadow table of every live address space, returning the present
-// entries per machine page, each list sorted by shadowRefLess.
+// entries per machine page, each list sorted by compareShadowRefs.
 func sweepShadowRefs(v *VMM) map[uint64][]shadowRef {
 	out := make(map[uint64][]shadowRef)
 	for _, as := range v.spaces {
@@ -25,7 +26,7 @@ func sweepShadowRefs(v *VMM) map[uint64][]shadowRef {
 		}
 	}
 	for _, refs := range out {
-		sortShadowRefs(refs)
+		slices.SortFunc(refs, compareShadowRefs)
 	}
 	return out
 }
@@ -47,7 +48,7 @@ func checkRmap(t *testing.T, v *VMM, step string) {
 	for mpn, list := range v.rmap {
 		refs += len(list)
 		got := append([]shadowRef(nil), list...)
-		sortShadowRefs(got)
+		slices.SortFunc(got, compareShadowRefs)
 		w := want[uint64(mpn)]
 		if len(got) != len(w) {
 			t.Fatalf("%s: rmap[%d] has %d refs, shadow tables hold %d", step, mpn, len(got), len(w))

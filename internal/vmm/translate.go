@@ -2,7 +2,7 @@ package vmm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/mach"
@@ -56,8 +56,7 @@ func (v *VMM) EncryptAllPlaintext(d cloak.DomainID, why string) int {
 			gppns = append(gppns, gppn)
 		}
 	}
-	//overlint:allow hotpathalloc -- shutdown-path sort; boxing and closure are once per sweep
-	sort.Slice(gppns, func(i, j int) bool { return gppns[i] < gppns[j] })
+	slices.Sort(gppns)
 	for _, gppn := range gppns {
 		v.encryptPage(gppn, pages[gppn], why)
 	}
