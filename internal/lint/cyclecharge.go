@@ -155,8 +155,8 @@ var observerMethods = map[string]bool{
 // operation can never stand in as evidence of charging for it — e.g. a
 // future self-charging EmitSpan must not make every traced-but-unchanged
 // memory touch look paid for. (Pruning is safe in the other direction too:
-// internal/obs never touches guest memory; it imports nothing from the
-// module.)
+// internal/obs never touches guest memory; from the module it imports
+// only internal/ordered.)
 func isObserverPrimitive(obj types.Object) bool {
 	if obj == nil || obj.Pkg() == nil {
 		return false
