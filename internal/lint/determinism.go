@@ -193,35 +193,26 @@ func checkInjectorSeed(pass *Pass, call *ast.CallExpr) {
 }
 
 // isMapType reports whether ranging over a value of type t iterates a map:
-// t's underlying type is a map, or t is a type parameter whose core type is
-// one. A range over a type parameter compiles only when its type set has a
-// core type, so one map term in the constraint means every term is a map.
+// t's underlying type is a map, or t is a type parameter (whose underlying
+// type is its constraint interface) with a map core type. A range over a
+// type parameter compiles only when its type set has a core type, so one
+// map term in the constraint means every term is a map.
 func isMapType(t types.Type) bool {
-	if tp, ok := t.(*types.TypeParam); ok {
-		return constraintHasMap(tp.Constraint())
-	}
 	if t == nil {
 		return false
 	}
-	_, ok := t.Underlying().(*types.Map)
-	return ok
-}
-
-// constraintHasMap reports whether a constraint's type set contains a map
-// type, looking through unions and embedded constraint interfaces.
-func constraintHasMap(t types.Type) bool {
 	switch u := t.Underlying().(type) {
 	case *types.Map:
 		return true
 	case *types.Interface:
 		for i := 0; i < u.NumEmbeddeds(); i++ {
-			if constraintHasMap(u.EmbeddedType(i)) {
+			if isMapType(u.EmbeddedType(i)) {
 				return true
 			}
 		}
 	case *types.Union:
 		for i := 0; i < u.Len(); i++ {
-			if constraintHasMap(u.Term(i).Type()) {
+			if isMapType(u.Term(i).Type()) {
 				return true
 			}
 		}

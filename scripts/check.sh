@@ -87,16 +87,19 @@ echo "== shard determinism"
 # Sharding may change wall time only: every row's JSON must be byte-identical
 # between a serial and a 4-way sharded run, at each of its seeds. Columns:
 # gate | experiments (empty: the whole quick suite) | seeds | extra overbench
-# flags | artifact: "profile" if the row also writes the sim-time profile,
-# which must match too and render through overprof; "metrics" if it also
-# writes the attributed metrics export, which must match too.
+# flags | artifacts, a space-separated list of the exports the row also
+# writes, each of which must match too: "profile" (the sim-time profile,
+# which must also render through overprof), "metrics" (the attributed
+# metrics export), "trace" (the Chrome trace export).
 #   suite      the quick suite (E1-E14, E16, E17); its serial runs are the
 #              VCPUs=1 goldens checked below, so writing metrics must not
 #              change a table. It covers E16's migration sweep, whose
 #              capture points and transfer faults derive from (seed, probe).
 #   vcpus4     the 4-vCPU machine: the seeded interleaving is its only
 #              schedule source
-#   fault      E13: the injected fault schedule is part of the machine
+#   fault      E13: the injected fault schedule is part of the machine;
+#              its trace export (every fault, retry and recovery span) must
+#              match too
 #   profile    E2: per-world profiles merge additively and every export sorts
 #   crash      E14: a (seed, crash point) pair names one exact crashed world
 #   adversary  E17: attack schedules derive from (seed, plan name)
@@ -106,21 +109,21 @@ echo "== shard determinism"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 go build -o "$tmpdir/overbench" ./cmd/overbench
-while IFS='|' read -r gate exps seeds flags artifact; do
+while IFS='|' read -r gate exps seeds flags artifacts; do
     for s in $seeds; do
         for shards in 1 4; do
             out="$tmpdir/$gate-$s-shards$shards"
             # $flags is split into words on purpose.
             set -- ${exps:+-e "$exps"} $flags
-            if [ -n "$artifact" ]; then
-                set -- "$@" "-$artifact" "$out.$artifact"
-            fi
+            for a in $artifacts; do
+                set -- "$@" "-$a" "$out.$a"
+            done
             if ! "$tmpdir/overbench" -seed "$s" -shards "$shards" -json "$@" > "$out.json" 2> "$out.err"; then
                 cat "$out.err" >&2
                 exit 1
             fi
         done
-        for f in json profile metrics; do
+        for f in json profile metrics trace; do
             a="$tmpdir/$gate-$s-shards1.$f"
             b="$tmpdir/$gate-$s-shards4.$f"
             [ -f "$a" ] || continue
@@ -130,7 +133,7 @@ while IFS='|' read -r gate exps seeds flags artifact; do
                 exit 1
             fi
         done
-        if [ "$artifact" = profile ]; then
+        if [ -f "$tmpdir/$gate-$s-shards1.profile" ]; then
             go run ./cmd/overprof "$tmpdir/$gate-$s-shards1.profile" > /dev/null
         fi
     done
@@ -138,7 +141,7 @@ while IFS='|' read -r gate exps seeds flags artifact; do
 done <<'ROWS'
 suite||1 42||metrics
 vcpus4||1 42|-vcpus 4|
-fault|E13|3 11||
+fault|E13|3 11||trace
 profile|E2|3 11||profile
 crash|E14|5 9||
 adversary|E17|1 23||
