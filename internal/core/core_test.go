@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"overshadow/internal/guestos"
+	"overshadow/internal/mach"
 	"overshadow/internal/sim"
 	"overshadow/internal/vmm"
 )
@@ -599,6 +602,58 @@ func TestSecurityEventLogCloakAudit(t *testing.T) {
 	for _, ev := range sys.SecurityEvents() {
 		if ev.Kind == vmm.EventIntegrityViolation || ev.Kind == vmm.EventCTCTamper {
 			t.Fatalf("unexpected violation: %v", ev)
+		}
+	}
+}
+
+// TestWordAccessAtPageEnd stores and loads words at page offset 4088, the
+// last offset the in-page word path serves, and 4092, which crosses into a
+// page not yet faulted in and takes the page-by-page path, in a native and
+// a cloaked process. Each word must read back whole through Load64 and,
+// little-endian, through ReadMem, and bytes written with WriteMem across
+// the boundary must load as the same word.
+func TestWordAccessAtPageEnd(t *testing.T) {
+	const a, b, c = 0x0102030405060708, 0x1112131415161718, 0x2122232425262728
+	for _, cloaked := range []bool{false, true} {
+		sys := NewSystem(Config{MemoryPages: 512})
+		var errs []string
+		sys.Register("app", func(e Env) {
+			base, err := e.Alloc(6)
+			if err != nil {
+				errs = append(errs, err.Error())
+				e.Exit(1)
+			}
+			check := func(va Addr, want uint64) {
+				if got := e.Load64(va); got != want {
+					errs = append(errs, fmt.Sprintf("Load64(base+%#x) = %#x, want %#x", va-base, got, want))
+				}
+				buf := make([]byte, 8)
+				e.ReadMem(va, buf)
+				if got := binary.LittleEndian.Uint64(buf); got != want {
+					errs = append(errs, fmt.Sprintf("ReadMem(base+%#x) = %#x, want %#x", va-base, got, want))
+				}
+			}
+			e.Store64(base+4088, a)
+			check(base+4088, a)
+			e.Store64(base+mach.PageSize+4092, b)
+			check(base+mach.PageSize+4092, b)
+			check(base+mach.PageSize+4088, (b&0xffffffff)<<32)
+			buf := make([]byte, 8)
+			binary.LittleEndian.PutUint64(buf, c)
+			e.WriteMem(base+3*mach.PageSize+4092, buf)
+			check(base+3*mach.PageSize+4092, c)
+			e.Exit(0)
+		})
+		var opts []SpawnOpt
+		if cloaked {
+			opts = append(opts, Cloaked())
+		}
+		if _, err := sys.Spawn("app", opts...); err != nil {
+			t.Fatal(err)
+		}
+		sys.Run()
+		for _, e := range errs {
+			t.Errorf("cloaked %v: %s", cloaked, e)
 		}
 	}
 }

@@ -43,6 +43,47 @@ func BenchmarkStore64(b *testing.B) {
 	})
 }
 
+// sinkWord keeps the benchmarked loads from being optimized away.
+var sinkWord uint64
+
+// BenchmarkLoad64 measures the word load on a TLB hit: the same 16 pages
+// the 256-entry TLB holds throughout.
+func BenchmarkLoad64(b *testing.B) {
+	benchRun(b, func(e Env) {
+		base, _ := e.Alloc(16)
+		for p := 0; p < 16; p++ {
+			e.Store64(base+mach.Addr(p*mach.PageSize), uint64(p))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkWord = e.Load64(base + mach.Addr((i%16)*mach.PageSize+(i/16%512)*8))
+		}
+		b.StopTimer()
+		e.Exit(0)
+	})
+}
+
+// BenchmarkLoad64TLBMiss measures the word load on a TLB miss that the
+// shadow page table serves: one load per page over 1024 resident pages,
+// four times the 256-entry TLB's reach.
+func BenchmarkLoad64TLBMiss(b *testing.B) {
+	const pages = 1024
+	benchRun(b, func(e Env) {
+		base, _ := e.Alloc(pages)
+		for p := 0; p < pages; p++ {
+			e.Store64(base+mach.Addr(p*mach.PageSize), uint64(p))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkWord = e.Load64(base + mach.Addr((i%pages)*mach.PageSize))
+		}
+		b.StopTimer()
+		e.Exit(0)
+	})
+}
+
 func BenchmarkPipePingPong(b *testing.B) {
 	benchRun(b, func(e Env) {
 		r1, w1, _ := e.Pipe()

@@ -91,45 +91,53 @@ func (c *UserCtx) access(va mach.Addr, buf []byte, write bool) {
 		if err == nil {
 			return
 		}
-		var fault *mmu.Fault
-		if errors.As(err, &fault) {
-			// Page fault: trap to the kernel to service it.
-			sp := k.world.CPU().Begin(obs.KindPageFault, "app", uint64(va))
-			p.thread.EnterKernel(vmm.TrapFault)
-			k.vmm.SwitchContext(p.as, vmm.ViewSystem)
-			errno := k.handleFault(p, fault)
-			xerr := p.thread.ExitKernel()
-			k.vmm.SwitchContext(p.as, vmm.ViewApp)
-			sp.End()
-			if xerr != nil {
-				k.exitCurrent(p, 128+int(SIGKILL))
-			}
-			if errno != OK {
-				// Genuine segfault.
-				k.exitCurrent(p, 128+11)
-			}
-			// Trap exit is a quiescent point: the fault is fully serviced
-			// and the access has not yet retried. No-op unless a migration
-			// hook is armed and due.
-			k.fireMigrationHook()
-			continue
-		}
-		var sv *vmm.SecViolation
-		if errors.As(err, &sv) {
-			// The VMM refused the access: the OS corrupted this process's
-			// protected memory (or the domain is already quarantined).
-			// Terminate; the event is in the audit log.
+		c.accessFault(va, err)
+	}
+}
+
+// accessFault handles a failed application-view access at va. It returns
+// once a page fault is serviced and the access may retry; any other outcome
+// terminates the process.
+func (c *UserCtx) accessFault(va mach.Addr, err error) {
+	p, k := c.p, c.k
+	var fault *mmu.Fault
+	if errors.As(err, &fault) {
+		// Page fault: trap to the kernel to service it.
+		sp := k.world.CPU().Begin(obs.KindPageFault, "app", uint64(va))
+		p.thread.EnterKernel(vmm.TrapFault)
+		k.vmm.SwitchContext(p.as, vmm.ViewSystem)
+		errno := k.handleFault(p, fault)
+		xerr := p.thread.ExitKernel()
+		k.vmm.SwitchContext(p.as, vmm.ViewApp)
+		sp.End()
+		if xerr != nil {
 			k.exitCurrent(p, 128+int(SIGKILL))
 		}
-		var rf *vmm.ResourceFault
-		if errors.As(err, &rf) {
-			// Unservable resource fault (e.g. a guest PTE pointing beyond
-			// guest memory): the bus-error analogue. Kill the process;
-			// the machine keeps running.
+		if errno != OK {
+			// Genuine segfault.
 			k.exitCurrent(p, 128+11)
 		}
-		panic(fmt.Sprintf("guestos: unexpected access error: %v", err))
+		// Trap exit is a quiescent point: the fault is fully serviced
+		// and the access has not yet retried. No-op unless a migration
+		// hook is armed and due.
+		k.fireMigrationHook()
+		return
 	}
+	var sv *vmm.SecViolation
+	if errors.As(err, &sv) {
+		// The VMM refused the access: the OS corrupted this process's
+		// protected memory (or the domain is already quarantined).
+		// Terminate; the event is in the audit log.
+		k.exitCurrent(p, 128+int(SIGKILL))
+	}
+	var rf *vmm.ResourceFault
+	if errors.As(err, &rf) {
+		// Unservable resource fault (e.g. a guest PTE pointing beyond
+		// guest memory): the bus-error analogue. Kill the process;
+		// the machine keeps running.
+		k.exitCurrent(p, 128+11)
+	}
+	panic(fmt.Sprintf("guestos: unexpected access error: %v", err))
 }
 
 // ReadMem implements Env.
@@ -138,24 +146,28 @@ func (c *UserCtx) ReadMem(va mach.Addr, buf []byte) { c.access(va, buf, false) }
 // WriteMem implements Env.
 func (c *UserCtx) WriteMem(va mach.Addr, buf []byte) { c.access(va, buf, true) }
 
-// Load64 implements Env.
+// Load64 implements Env: a little-endian word load with the same fault
+// handling as ReadMem.
 func (c *UserCtx) Load64(va mach.Addr) uint64 {
-	var b [8]byte
-	c.access(va, b[:], false)
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
+	for {
+		val, err := c.k.vmm.Load64(c.p.as, vmm.ViewApp, va, true)
+		if err == nil {
+			return val
+		}
+		c.accessFault(va, err)
 	}
-	return v
 }
 
-// Store64 implements Env.
+// Store64 implements Env: a little-endian word store with the same fault
+// handling as WriteMem.
 func (c *UserCtx) Store64(va mach.Addr, val uint64) {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(val >> (8 * i))
+	for {
+		err := c.k.vmm.Store64(c.p.as, vmm.ViewApp, va, val, true)
+		if err == nil {
+			return
+		}
+		c.accessFault(va, err)
 	}
-	c.access(va, b[:], true)
 }
 
 // --- The trap path ------------------------------------------------------------

@@ -39,7 +39,8 @@ type hotRoot struct{ pkg, recv, name string }
 // hotRoots are the entry points whose forward closure is the hot path. They
 // mirror the per-event work of the simulator: the guest scheduler's dispatch
 // loop, the syscall trap path, the page-fault handler, address translation,
-// world-switch, charging, tracing, fault injection, and page crypto.
+// the word-sized load and store, world-switch, charging, tracing, fault
+// injection, and page crypto.
 var hotRoots = []hotRoot{
 	{"overshadow/internal/guestos", "Kernel", "switchTo"},
 	{"overshadow/internal/guestos", "Kernel", "yield"},
@@ -47,7 +48,11 @@ var hotRoots = []hotRoot{
 	{"overshadow/internal/guestos", "Kernel", "dispatchAttr"},
 	{"overshadow/internal/guestos", "Kernel", "handleFault"},
 	{"overshadow/internal/guestos", "UserCtx", "trap"},
+	{"overshadow/internal/guestos", "UserCtx", "Load64"},
+	{"overshadow/internal/guestos", "UserCtx", "Store64"},
 	{vmmPath, "VMM", "Translate"},
+	{vmmPath, "VMM", "Load64"},
+	{vmmPath, "VMM", "Store64"},
 	{vmmPath, "Thread", "EnterKernel"},
 	{vmmPath, "Thread", "ExitKernel"},
 	{"overshadow/internal/sim", "VCPU", "Charge"},

@@ -296,3 +296,19 @@ func TestTLBReinsertAfterEvictionStaleOrder(t *testing.T) {
 		t.Fatalf("TLB exceeded capacity: %d", tlb.Len())
 	}
 }
+
+// BenchmarkTLBLookupHit measures a TLB hit on a full 256-entry TLB, cycling
+// through 16 resident translations.
+func BenchmarkTLBLookupHit(b *testing.B) {
+	tlb := NewTLB(testWorld().Boot(), 256)
+	for vpn := uint64(0); vpn < 256; vpn++ {
+		tlb.Insert(1, vpn, PTE{PN: vpn, Flags: FlagPresent})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := tlb.Lookup(1, uint64(i%16)); !ok {
+			b.Fatal("miss on a resident translation")
+		}
+	}
+}

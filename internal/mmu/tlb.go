@@ -20,11 +20,29 @@ type tlbEntry struct {
 // cross-CPU shootdown), so they take the initiating execution context
 // explicitly and report how many entries were dropped — the VMM charges the
 // initiator the IPI cost when a remote TLB actually held stale entries.
+//
+// A direct-mapped front array caches recent hits of the entries map. It is
+// host-only: a valid slot always equals the map entry under its key, so a
+// front hit returns, and charges, exactly what the map lookup would, and it
+// never draws from the eviction random stream. Every map insert and delete
+// clears the key's slot, and Flush clears them all.
 type TLB struct {
 	cpu     *sim.VCPU
 	cap     int
 	entries map[uint64]tlbEntry // key: vpn | ctx<<40
 	order   []uint64            // insertion keys for eviction choice
+	front   [frontSlots]frontSlot
+}
+
+// frontSlots is the size of the TLB's direct-mapped front array.
+const frontSlots = 256
+
+// frontSlot caches the map entry under key while valid.
+type frontSlot struct {
+	key   uint64
+	pn    uint64
+	flags Flags
+	valid bool
 }
 
 // NewTLB builds a TLB with the given entry capacity, owned by cpu.
@@ -41,29 +59,50 @@ func NewTLB(cpu *sim.VCPU, capacity int) *TLB {
 
 func tlbKey(ctx uint32, vpn uint64) uint64 { return vpn | uint64(ctx)<<40 }
 
+// slot returns the front slot that key maps to. Folding the context into
+// the VPN bits puts one page's app-view and system-view entries in
+// different slots.
+func (t *TLB) slot(key uint64) *frontSlot {
+	return &t.front[(key^key>>40)%frontSlots]
+}
+
+// forget clears key's front slot if it holds key.
+func (t *TLB) forget(key uint64) {
+	if s := t.slot(key); s.key == key {
+		s.valid = false
+	}
+}
+
 // Lookup returns the cached translation for (ctx, vpn) if present, charging
 // the hit cost to the owning vCPU; the miss path cost is charged by the
 // walker, not here.
 func (t *TLB) Lookup(ctx uint32, vpn uint64) (PTE, bool) {
-	e, ok := t.entries[tlbKey(ctx, vpn)]
-	if !ok {
-		t.cpu.ChargeAdd(0, sim.CtrTLBMiss, 1)
-		return PTE{}, false
+	key := tlbKey(ctx, vpn)
+	s := t.slot(key)
+	if !s.valid || s.key != key {
+		e, ok := t.entries[key]
+		if !ok {
+			t.cpu.ChargeAdd(0, sim.CtrTLBMiss, 1)
+			return PTE{}, false
+		}
+		*s = frontSlot{key: key, pn: e.pn, flags: e.flags, valid: true}
 	}
+	pte := PTE{PN: s.pn, Flags: s.flags}
 	t.cpu.ChargeCount(t.cpu.World().Cost.TLBHit, sim.CtrTLBHit)
-	return PTE{PN: e.pn, Flags: e.flags}, true
+	return pte, true
 }
 
 // Insert caches a translation, evicting a pseudo-random entry when full. The
 // eviction choice draws from the owning vCPU's random stream.
 func (t *TLB) Insert(ctx uint32, vpn uint64, pte PTE) {
 	key := tlbKey(ctx, vpn)
-	if _, exists := t.entries[key]; !exists && len(t.entries) >= t.cap {
-		t.evictOne()
-	}
 	if _, exists := t.entries[key]; !exists {
+		if len(t.entries) >= t.cap {
+			t.evictOne()
+		}
 		t.order = append(t.order, key)
 	}
+	t.forget(key)
 	t.entries[key] = tlbEntry{vpn: vpn, ctx: ctx, pn: pte.PN, flags: pte.Flags}
 }
 
@@ -75,6 +114,7 @@ func (t *TLB) evictOne() {
 		t.order = t.order[:len(t.order)-1]
 		if _, ok := t.entries[key]; ok {
 			delete(t.entries, key)
+			t.forget(key)
 			return
 		}
 		// Stale order slot (entry was invalidated); retry.
@@ -91,6 +131,7 @@ func (t *TLB) InvalidatePage(on *sim.VCPU, vpn uint64) int {
 	for key, e := range t.entries {
 		if e.vpn == vpn {
 			delete(t.entries, key)
+			t.forget(key)
 			on.ChargeAdd(on.World().Cost.TLBEvict, sim.CtrTLBEvict, 1)
 			dropped++
 		}
@@ -107,6 +148,7 @@ func (t *TLB) InvalidateRange(on *sim.VCPU, base, pages uint64) int {
 	for key, e := range t.entries {
 		if e.vpn >= base && e.vpn < base+pages {
 			delete(t.entries, key)
+			t.forget(key)
 			on.ChargeAdd(on.World().Cost.TLBEvict, sim.CtrTLBEvict, 1)
 			dropped++
 		}
@@ -122,6 +164,7 @@ func (t *TLB) InvalidateContext(on *sim.VCPU, ctx uint32) int {
 	for key, e := range t.entries {
 		if e.ctx == ctx {
 			delete(t.entries, key)
+			t.forget(key)
 			on.ChargeAdd(on.World().Cost.TLBEvict, sim.CtrTLBEvict, 1)
 			dropped++
 		}
@@ -136,6 +179,7 @@ func (t *TLB) Flush() {
 	//overlint:allow hotpathalloc -- full flush rebuilds the map; runs on context teardown, not per translation
 	t.entries = make(map[uint64]tlbEntry, t.cap)
 	t.order = t.order[:0]
+	t.front = [frontSlots]frontSlot{}
 	t.cpu.ChargeCount(t.cpu.World().Cost.TLBFlush, sim.CtrTLBFlush)
 }
 

@@ -1,6 +1,7 @@
 package vmm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -265,6 +266,46 @@ func (v *VMM) ReadVirt(as *AddressSpace, view View, va mach.Addr, buf []byte, us
 // WriteVirt copies buf into virtual address va of (as, view).
 func (v *VMM) WriteVirt(as *AddressSpace, view View, va mach.Addr, buf []byte, user bool) error {
 	return v.accessVirt(as, view, va, buf, user, true)
+}
+
+// Load64 reads the little-endian word at va in (as, view). It translates
+// once and reads the frame in place, charging exactly what an 8-byte
+// ReadVirt charges; a word that crosses a page goes through ReadVirt's
+// page-by-page path.
+func (v *VMM) Load64(as *AddressSpace, view View, va mach.Addr, user bool) (uint64, error) {
+	off := mach.PageOffset(va)
+	if off > mach.PageSize-8 {
+		var b [8]byte
+		if err := v.accessVirt(as, view, va, b[:], user, false); err != nil {
+			return 0, err
+		}
+		return binary.LittleEndian.Uint64(b[:]), nil
+	}
+	mpn, err := v.Translate(as, view, mach.PageOf(va), mmu.AccessRead, user)
+	if err != nil {
+		return 0, err
+	}
+	val := binary.LittleEndian.Uint64(v.mem.Page(mpn)[off:])
+	v.chargeCopy(8)
+	return val, nil
+}
+
+// Store64 writes val as a little-endian word at va in (as, view), charging
+// exactly what an 8-byte WriteVirt charges.
+func (v *VMM) Store64(as *AddressSpace, view View, va mach.Addr, val uint64, user bool) error {
+	off := mach.PageOffset(va)
+	if off > mach.PageSize-8 {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], val)
+		return v.accessVirt(as, view, va, b[:], user, true)
+	}
+	mpn, err := v.Translate(as, view, mach.PageOf(va), mmu.AccessWrite, user)
+	if err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint64(v.mem.Page(mpn)[off:], val)
+	v.chargeCopy(8)
+	return nil
 }
 
 func (v *VMM) accessVirt(as *AddressSpace, view View, va mach.Addr, buf []byte, user, write bool) error {
