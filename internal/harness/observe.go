@@ -83,7 +83,7 @@ func (ob *Observer) MergedMetrics() *obs.Metrics {
 // count. Each world's trace-ring dropped count is folded in so histogram
 // exports surface truncation of the companion trace.
 func (ob *Observer) MergedProfile() *obs.Profile {
-	p := obs.NewProfile()
+	p := sim.NewProfile()
 	for _, s := range ob.ordered() {
 		p.Merge(s.world.Profile())
 		p.AddDropped(s.world.Tracer.Dropped())

@@ -10,9 +10,8 @@ import (
 // machine-memory handles or the cloaking secrets that would let it read
 // plaintext of cloaked pages. Concretely, inside internal/guestos:
 //
-//   - the mach physical-memory layer is off limits — mach.Memory,
-//     mach.FrameAllocator, and mach.MPN (machine page numbers) belong to
-//     the VMM; the kernel sees only guest-physical pages (mach.GPPN) and
+//   - the mach physical-memory layer is off limits — mach.Memory and
+//     mach.MPN (machine page numbers) belong to the VMM; the kernel sees only guest-physical pages (mach.GPPN) and
 //     reaches memory through VMM-mediated paths (Translate, PhysRead,
 //     PhysWrite, hypercalls), which run the cloaking state machine;
 //   - the cloak package's key and plaintext machinery (Engine, Keyer,
@@ -49,9 +48,7 @@ const (
 // forbiddenMachNames are the mach identifiers that expose machine (not
 // guest-physical) memory.
 var forbiddenMachNames = map[string]bool{
-	"Memory": true, "NewMemory": true,
-	"FrameAllocator": true, "NewFrameAllocator": true,
-	"MPN": true,
+	"Memory": true, "NewMemory": true, "MPN": true,
 }
 
 // allowedCloakNames are the only cloak identifiers untrusted code may name:
@@ -149,9 +146,8 @@ func recvNamed(obj types.Object) string {
 	return ""
 }
 
-// forbiddenMachReceiver reports whether obj is a method on one of the
-// forbidden mach types (covers values smuggled in via other packages).
+// forbiddenMachReceiver reports whether obj is a method on mach.Memory
+// (covers values smuggled in via other packages).
 func forbiddenMachReceiver(obj types.Object) bool {
-	r := recvNamed(obj)
-	return r == "Memory" || r == "FrameAllocator"
+	return recvNamed(obj) == "Memory"
 }

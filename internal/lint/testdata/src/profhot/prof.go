@@ -5,7 +5,9 @@
 // root reaches stays silent.
 package obs
 
-// ProfNode mirrors the real profile-tree node shape.
+// ProfNode is a profile-tree node with map-keyed children and leaves (the
+// real obs.ProfNode holds slices), so its lazy map creation gives the
+// analyzer both a finding and an allowed allocation to check.
 type ProfNode struct {
 	children map[string]*ProfNode
 	leaves   map[string]uint64

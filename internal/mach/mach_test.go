@@ -41,10 +41,6 @@ func TestMemoryPageIsolation(t *testing.T) {
 	if p2[0] != 0 {
 		t.Fatal("write to frame 1 visible in frame 2")
 	}
-	m.Zero(1)
-	if p1[0] != 0 {
-		t.Fatal("Zero did not clear frame")
-	}
 }
 
 func TestMemoryBoundsPanic(t *testing.T) {
@@ -54,63 +50,6 @@ func TestMemoryBoundsPanic(t *testing.T) {
 		}
 	}()
 	NewMemory(2).Page(5)
-}
-
-func TestFrameAllocatorExhaustion(t *testing.T) {
-	m := NewMemory(4) // frames 1..3 allocatable
-	a := NewFrameAllocator(m)
-	if a.FreeFrames() != 3 {
-		t.Fatalf("FreeFrames = %d, want 3", a.FreeFrames())
-	}
-	seen := map[MPN]bool{}
-	for i := 0; i < 3; i++ {
-		mpn, ok := a.Alloc()
-		if !ok {
-			t.Fatalf("alloc %d failed", i)
-		}
-		if mpn == 0 || seen[mpn] {
-			t.Fatalf("bad frame %d", mpn)
-		}
-		seen[mpn] = true
-	}
-	if _, ok := a.Alloc(); ok {
-		t.Fatal("alloc succeeded past exhaustion")
-	}
-	for mpn := range seen {
-		a.Free(mpn)
-	}
-	if a.FreeFrames() != 3 {
-		t.Fatalf("after free, FreeFrames = %d, want 3", a.FreeFrames())
-	}
-}
-
-func TestFrameAllocatorZeroesFrames(t *testing.T) {
-	m := NewMemory(3)
-	a := NewFrameAllocator(m)
-	mpn, _ := a.Alloc()
-	m.Page(mpn)[7] = 0xFF
-	a.Free(mpn)
-	// All frames dirty now; realloc must return zeroed memory.
-	for {
-		got, ok := a.Alloc()
-		if !ok {
-			break
-		}
-		for i, b := range m.Page(got) {
-			if b != 0 {
-				t.Fatalf("frame %d byte %d = %#x after alloc, want 0", got, i, b)
-			}
-		}
-	}
-}
-
-func TestFreeReservedFramePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Free(0) did not panic")
-		}
-	}()
-	NewFrameAllocator(NewMemory(2)).Free(0)
 }
 
 func TestDiskRoundTrip(t *testing.T) {

@@ -1,7 +1,6 @@
 // Package mach models the physical machine that everything else runs on:
-// byte-addressable machine memory divided into 4 KiB frames, a frame
-// allocator owned by the VMM, and a block-device disk used for the guest
-// filesystem image and swap.
+// byte-addressable machine memory divided into 4 KiB frames, and a
+// block-device disk used for the guest filesystem image and swap.
 //
 // Addresses come in three flavours throughout the system, following the
 // paper's terminology:
@@ -72,50 +71,3 @@ func (m *Memory) Page(mpn MPN) []byte {
 	}
 	return m.frames[mpn]
 }
-
-// Zero clears frame mpn.
-func (m *Memory) Zero(mpn MPN) {
-	p := m.Page(mpn)
-	for i := range p {
-		p[i] = 0
-	}
-}
-
-// FrameAllocator hands out machine frames. It is owned by the VMM; the guest
-// kernel never sees MPNs.
-type FrameAllocator struct {
-	mem  *Memory
-	free []MPN
-}
-
-// NewFrameAllocator builds an allocator over all frames of mem except frame
-// 0, which is kept unmapped so that a zero MPN can act as "no frame".
-func NewFrameAllocator(mem *Memory) *FrameAllocator {
-	a := &FrameAllocator{mem: mem}
-	for i := mem.NumFrames() - 1; i >= 1; i-- {
-		a.free = append(a.free, MPN(i))
-	}
-	return a
-}
-
-// Alloc returns a zeroed frame, or false if machine memory is exhausted.
-func (a *FrameAllocator) Alloc() (MPN, bool) {
-	if len(a.free) == 0 {
-		return 0, false
-	}
-	mpn := a.free[len(a.free)-1]
-	a.free = a.free[:len(a.free)-1]
-	a.mem.Zero(mpn)
-	return mpn, true
-}
-
-// Free returns a frame to the pool.
-func (a *FrameAllocator) Free(mpn MPN) {
-	if mpn == 0 {
-		panic("mach: freeing reserved frame 0")
-	}
-	a.free = append(a.free, mpn)
-}
-
-// FreeFrames reports how many frames remain allocatable.
-func (a *FrameAllocator) FreeFrames() int { return len(a.free) }

@@ -38,12 +38,17 @@ type Metrics struct {
 // NewMetrics returns an empty store over the given counter-names table:
 // cell i of every row accumulates the counter named names[i].
 func NewMetrics(names []string) *Metrics {
+	return &Metrics{names: names, order: nameOrder(names), ids: make(map[Attr]int)}
+}
+
+// nameOrder lists the indices of a counter-names table in name order.
+func nameOrder(names []string) []int {
 	order := make([]int, len(names))
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(i, j int) bool { return names[order[i]] < names[order[j]] })
-	return &Metrics{names: names, order: order, ids: make(map[Attr]int)}
+	return order
 }
 
 // Row returns a's cells, interning the row on first use. The slice aliases

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"cmp"
+	"slices"
 
 	"overshadow/internal/ordered"
 )
@@ -9,55 +10,47 @@ import (
 // The profile is the stack-attributed view of cycle accounting: where
 // Metrics answers "which counter, under which task", Profile answers "which
 // call chain". sim.World maintains a stack of open spans per guest task;
-// every cycle charge lands at the current stack's node under the charge's
-// counter name as the leaf frame, and every span completion feeds a
-// per-(kind, domain) duration histogram. Like Metrics, the profile is a
-// plain accumulator: merging per-world profiles is additive and
-// order-independent, and every export sorts, so artifacts are byte-identical
-// for any shard count.
-
-// frameKey identifies one child frame of a profile node without building
-// the rendered "kind/name" string on the hot path.
-type frameKey struct {
-	kind Kind
-	name string
-}
+// every cycle charge lands in the current stack's node, in the leaf cell of
+// the charge's counter, and every span completion feeds a per-(kind, domain)
+// duration histogram. Like Metrics, the profile is a plain accumulator:
+// frames and leaves are slices kept in creation order, merging per-world
+// profiles is additive, and every export sorts, so artifacts are
+// byte-identical for any shard count.
 
 // ProfNode is one frame of the profile tree. Children are the spans opened
 // while this frame was on top; leaves are the counters charged while this
-// frame was the innermost open span.
+// frame was the innermost open span, one cell per entry of the profile's
+// counter-names table.
 type ProfNode struct {
-	children map[frameKey]*ProfNode
-	leaves   map[string]uint64
+	kind     Kind
+	name     string
+	children []*ProfNode
+	leaves   []Cell
 }
 
 // Child returns the node for the (kind, name) frame opened under n,
-// creating it on first use. The lookup itself does not allocate; creation
-// is once per distinct stack shape.
+// creating it on first use. The lookup is a scan: a frame has at most a few
+// dozen children, and it does not allocate.
 func (n *ProfNode) Child(kind Kind, name string) *ProfNode {
-	k := frameKey{kind: kind, name: name}
-	c := n.children[k]
-	if c == nil {
-		// Amortized: one allocation per distinct (stack, frame) pair — the
-		// span vocabulary is a small fixed set, not per-event.
-		//overlint:allow hotpathalloc -- lazy node creation, once per distinct stack frame
-		c = &ProfNode{}
-		if n.children == nil {
-			//overlint:allow hotpathalloc -- lazy map creation, once per node
-			n.children = make(map[frameKey]*ProfNode)
+	for _, c := range n.children {
+		if c.kind == kind && c.name == name {
+			return c
 		}
-		n.children[k] = c
 	}
+	// Amortized: one allocation per distinct (stack, frame) pair — the span
+	// vocabulary is a small fixed set, not per-event.
+	//overlint:allow hotpathalloc -- lazy node creation, once per distinct stack frame
+	c := &ProfNode{kind: kind, name: name, leaves: make([]Cell, len(n.leaves))}
+	n.children = append(n.children, c)
 	return c
 }
 
-// AddLeaf charges cycles at this node under the counter name.
-func (n *ProfNode) AddLeaf(name string, cycles uint64) {
-	if n.leaves == nil {
-		//overlint:allow hotpathalloc -- lazy map creation, once per node
-		n.leaves = make(map[string]uint64)
-	}
-	n.leaves[name] += cycles
+// AddLeaf charges cycles at this node under counter ctr, an index into the
+// counter-names table. The leaf is exported even when cycles is zero.
+func (n *ProfNode) AddLeaf(ctr int, cycles uint64) {
+	c := &n.leaves[ctr]
+	c.Cycles += cycles
+	c.Charged = true
 }
 
 // HistKey identifies one duration histogram: the span kind and the cloaking
@@ -69,9 +62,13 @@ type HistKey struct {
 
 // Profile is the stack-attributed cycle store: a forest of frame trees (one
 // root per phase label) plus the per-(kind, domain) span-duration
-// histograms.
+// histograms. Leaves are indexed like the counter-names table the profile
+// was built over.
 type Profile struct {
-	roots map[string]*ProfNode
+	names []string
+	// order lists the counter indices in name order.
+	order []int
+	roots []*ProfNode
 	hists map[HistKey]*Histogram
 	// droppedSpans carries the trace ring's RingStats.Dropped so every
 	// histogram export can state whether the companion trace was truncated.
@@ -81,9 +78,10 @@ type Profile struct {
 	droppedSpans uint64
 }
 
-// NewProfile returns an empty profile.
-func NewProfile() *Profile {
-	return &Profile{roots: make(map[string]*ProfNode), hists: make(map[HistKey]*Histogram)}
+// NewProfile returns an empty profile over the given counter-names table:
+// leaf i of every node accumulates the counter named names[i].
+func NewProfile(names []string) *Profile {
+	return &Profile{names: names, order: nameOrder(names), hists: make(map[HistKey]*Histogram)}
 }
 
 // Root returns the tree root for the given phase label ("" maps to
@@ -93,11 +91,13 @@ func (p *Profile) Root(phase string) *ProfNode {
 	if phase == "" {
 		phase = "world"
 	}
-	r := p.roots[phase]
-	if r == nil {
-		r = &ProfNode{}
-		p.roots[phase] = r
+	for _, r := range p.roots {
+		if r.name == phase {
+			return r
+		}
 	}
+	r := &ProfNode{name: phase, leaves: make([]Cell, len(p.names))}
+	p.roots = append(p.roots, r)
 	return r
 }
 
@@ -122,12 +122,6 @@ func (p *Profile) Observe(kind Kind, domain uint32, dur uint64) {
 	h.Record(dur)
 }
 
-// Hist returns the histogram for (kind, domain), or nil if no span of that
-// shape completed.
-func (p *Profile) Hist(kind Kind, domain uint32) *Histogram {
-	return p.hists[HistKey{Kind: kind, Domain: domain}]
-}
-
 // HistEntry is one (key, histogram) pair of the key-sorted histogram view.
 type HistEntry struct {
 	Key  HistKey
@@ -148,62 +142,51 @@ func (p *Profile) Hists() []HistEntry {
 }
 
 // HistByKind merges the per-domain histograms of one span kind into a
-// single distribution (merge is order-independent, so which domain folds
-// first cannot reach the bytes of any export built from the result).
+// single distribution.
 func (p *Profile) HistByKind(kind Kind) *Histogram {
 	var h Histogram
-	//overlint:allow determinism -- histogram merge is commutative; iteration order cannot reach serialized bytes
-	for k, src := range p.hists {
-		if k.Kind == kind {
-			h.Merge(src)
+	for _, e := range p.Hists() {
+		if e.Key.Kind == kind {
+			h.Merge(e.Hist)
 		}
 	}
 	return &h
 }
 
-// Merge adds every node and histogram of other into p. All accumulation is
-// additive (cycles) or commutative folding (histograms), so merging the
-// same per-world profiles in any order yields an identical profile.
+// Merge adds every node and histogram of other, which must share p's names
+// table, into p. All accumulation is additive (cycles) or commutative
+// folding (histograms), so merging the same per-world profiles in any order
+// yields an identical profile.
 func (p *Profile) Merge(other *Profile) {
 	if other == nil {
 		return
 	}
-	//overlint:allow determinism -- additive tree merge; iteration order cannot reach serialized bytes
-	for phase, r := range other.roots {
-		dst := p.roots[phase]
-		if dst == nil {
-			dst = &ProfNode{}
-			p.roots[phase] = dst
-		}
-		mergeNode(dst, r)
+	for _, r := range other.roots {
+		mergeNode(p.Root(r.name), r)
 	}
-	//overlint:allow determinism -- commutative histogram merge; iteration order cannot reach serialized bytes
-	for k, h := range other.hists {
-		dst := p.hists[k]
+	for _, e := range other.Hists() {
+		dst := p.hists[e.Key]
 		if dst == nil {
 			dst = &Histogram{}
-			p.hists[k] = dst
+			p.hists[e.Key] = dst
 		}
-		dst.Merge(h)
+		dst.Merge(e.Hist)
 	}
 	p.droppedSpans += other.droppedSpans
 }
 
 func mergeNode(dst, src *ProfNode) {
-	//overlint:allow determinism -- additive leaf merge; iteration order cannot reach serialized bytes
-	for name, c := range src.leaves {
-		dst.AddLeaf(name, c)
+	for i, c := range src.leaves {
+		dst.leaves[i].add(c)
 	}
-	//overlint:allow determinism -- recursive additive merge; iteration order cannot reach serialized bytes
-	for k, child := range src.children {
-		mergeNode(dst.Child(k.kind, k.name), child)
+	for _, child := range src.children {
+		mergeNode(dst.Child(child.kind, child.name), child)
 	}
 }
 
 // TotalCycles sums every leaf in the profile.
 func (p *Profile) TotalCycles() uint64 {
 	var total uint64
-	//overlint:allow determinism -- commutative sum; iteration order cannot reach serialized bytes
 	for _, r := range p.roots {
 		total += nodeTotal(r)
 	}
@@ -212,11 +195,9 @@ func (p *Profile) TotalCycles() uint64 {
 
 func nodeTotal(n *ProfNode) uint64 {
 	var total uint64
-	//overlint:allow determinism -- commutative sum; iteration order cannot reach serialized bytes
 	for _, c := range n.leaves {
-		total += c
+		total += c.Cycles
 	}
-	//overlint:allow determinism -- commutative sum; iteration order cannot reach serialized bytes
 	for _, child := range n.children {
 		total += nodeTotal(child)
 	}
@@ -232,27 +213,37 @@ type FoldedLine struct {
 }
 
 // FoldedLines renders the profile as folded stacks in deterministic order:
-// depth-first over frames sorted by (kind, name), leaves alphabetical, with
-// roots sorted by phase. The format is directly consumable by standard
-// flame-graph tooling (stack-semicolon-separated, count last).
+// depth-first over frames sorted by (kind, name), charged leaves in name
+// order, with roots sorted by phase. The format is directly consumable by
+// standard flame-graph tooling (stack-semicolon-separated, count last).
 func (p *Profile) FoldedLines() []FoldedLine {
 	var out []FoldedLine
-	for _, phase := range ordered.Keys(p.roots, cmp.Compare[string]) {
-		out = appendFolded(out, p.roots[phase], phase)
+	for _, r := range sortedFrames(p.roots) {
+		out = p.appendFolded(out, r, r.name)
 	}
 	return out
 }
 
-// appendFolded emits node's leaves then recurses into sorted children.
-func appendFolded(out []FoldedLine, n *ProfNode, prefix string) []FoldedLine {
-	for _, name := range ordered.Keys(n.leaves, cmp.Compare[string]) {
-		out = append(out, FoldedLine{Stack: prefix + ";" + name, Cycles: n.leaves[name]})
+// appendFolded emits node's charged leaves then recurses into sorted
+// children.
+func (p *Profile) appendFolded(out []FoldedLine, n *ProfNode, prefix string) []FoldedLine {
+	for _, i := range p.order {
+		if c := n.leaves[i]; c.Charged {
+			out = append(out, FoldedLine{Stack: prefix + ";" + p.names[i], Cycles: c.Cycles})
+		}
 	}
-	children := ordered.Keys(n.children, func(a, b frameKey) int {
+	for _, c := range sortedFrames(n.children) {
+		out = p.appendFolded(out, c, prefix+";"+c.kind.String()+"/"+c.name)
+	}
+	return out
+}
+
+// sortedFrames returns a copy of nodes ordered by (kind, name). Roots all
+// have the zero kind, so they sort by phase.
+func sortedFrames(nodes []*ProfNode) []*ProfNode {
+	out := slices.Clone(nodes)
+	slices.SortFunc(out, func(a, b *ProfNode) int {
 		return cmp.Or(cmp.Compare(a.kind, b.kind), cmp.Compare(a.name, b.name))
 	})
-	for _, k := range children {
-		out = appendFolded(out, n.children[k], prefix+";"+k.kind.String()+"/"+k.name)
-	}
 	return out
 }

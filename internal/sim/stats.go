@@ -171,13 +171,16 @@ var counterNames = [numCounters]string{
 	CtrOther:               "cycles.other",
 }
 
-// String returns the counter's exported name. It is a table lookup, so the
-// charge path can hand names to the profiler without allocating.
+// String returns the counter's exported name.
 func (c Counter) String() string { return counterNames[c] }
 
 // NewMetrics returns an empty attributed store over the counter-names table:
 // cell c of every row accumulates counter c.
 func NewMetrics() *obs.Metrics { return obs.NewMetrics(counterNames[:]) }
+
+// NewProfile returns an empty profile over the counter-names table: leaf c
+// of every frame accumulates counter c.
+func NewProfile() *obs.Profile { return obs.NewProfile(counterNames[:]) }
 
 // Stats is the machine's one counter store, always on. Every charge lands in
 // a {cycles, events} cell of the row the charging vCPU holds for its

@@ -85,7 +85,7 @@ func (c *VCPU) ChargeAdd(n Cycles, ctr Counter, events uint64) {
 	cell.Events += events
 	cell.Charged = true
 	if w := c.w; w.prof != nil {
-		w.profLeaf(ctr.String(), uint64(n))
+		w.profLeaf(ctr, uint64(n))
 	}
 }
 

@@ -267,7 +267,8 @@ func TestDropAllShadowsMatchesSweep(t *testing.T) {
 	counters := []sim.Counter{sim.CtrShadowDrop, sim.CtrTLBEvict, sim.CtrTLBShootdown}
 	measure := func(drop func(*VMM, mach.GPPN)) ([]uint64, sim.Cycles) {
 		r, _ := build()
-		if n := len(r.v.rmap[r.v.pmap[5]]); n != 16 {
+		mpn, _ := r.v.machineOf(5)
+		if n := len(r.v.rmap[mpn]); n != 16 {
 			t.Fatalf("target frame has %d mappings, want 16 (2 spaces x 2 VPNs x 2 views x 2 vCPUs)", n)
 		}
 		before := r.w.Stats.Snapshot()

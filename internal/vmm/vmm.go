@@ -94,17 +94,17 @@ type VMM struct {
 	world *sim.World
 	opts  Options
 
-	mem   *mach.Memory
-	alloc *mach.FrameAllocator
+	mem *mach.Memory
 	// tlbs is one TLB per vCPU, indexed by vCPU ID.
 	tlbs []*mmu.TLB
 
 	engine *cloak.Engine
 	metas  *cloak.MetaStore
 
-	// pmap: guest-physical -> machine. Established at boot; the guest
-	// kernel addresses memory exclusively by GPPN.
-	pmap []mach.MPN
+	// guestPages is the guest-physical memory size. The pmap is fixed at
+	// boot and arithmetic: GPPN g is backed by MPN g+1 (frame 0 is
+	// reserved), and the guest kernel addresses memory exclusively by GPPN.
+	guestPages int
 
 	// rmap: machine -> every present shadow entry mapping that frame, so a
 	// cloak transition drops a frame's mappings without sweeping every
@@ -161,13 +161,11 @@ type Config struct {
 	Options    Options
 }
 
-// New boots a VMM over freshly allocated machine memory. Machine memory is
-// sized to back all guest-physical pages plus one reserved frame. A
-// misconfigured machine (non-positive size, or machine memory that cannot
-// back the requested guest) is a *ResourceFault, not a panic: the embedding
+// New boots a VMM over freshly allocated, zeroed machine memory. Machine
+// memory is sized to back all guest-physical pages plus one reserved frame,
+// so the guest owns all of "its" memory from boot, exactly like a fixed-size
+// VM. A non-positive size is a *ResourceFault, not a panic: the embedding
 // host decides whether boot failure is fatal.
-//
-//overlint:allow cyclecharge -- boot-time construction: frames are touched once before any measured run starts
 func New(world *sim.World, cfg Config) (*VMM, error) {
 	if cfg.GuestPages <= 0 {
 		return nil, &ResourceFault{Op: "boot",
@@ -182,7 +180,6 @@ func New(world *sim.World, cfg Config) (*VMM, error) {
 		tlbCap = 256
 	}
 	mem := mach.NewMemory(cfg.GuestPages + 1)
-	alloc := mach.NewFrameAllocator(mem)
 	// One TLB per vCPU, each owned by (and drawing its eviction stream from)
 	// its execution context.
 	tlbs := make([]*mmu.TLB, world.NumVCPUs())
@@ -193,12 +190,11 @@ func New(world *sim.World, cfg Config) (*VMM, error) {
 		world:        world,
 		opts:         cfg.Options,
 		mem:          mem,
-		alloc:        alloc,
 		tlbs:         tlbs,
 		activeCtxs:   make([]uint32, world.NumVCPUs()),
 		engine:       cloak.NewEngine(world, cloak.NewMasterKeyer([]byte(masterSecret))),
 		metas:        cloak.NewMetaStore(world, metaCap),
-		pmap:         make([]mach.MPN, cfg.GuestPages),
+		guestPages:   cfg.GuestPages,
 		rmap:         make([][]shadowRef, mem.NumFrames()),
 		spaces:       make(map[ASID]*AddressSpace),
 		pages:        make(map[mach.GPPN]*cloakPage),
@@ -210,16 +206,6 @@ func New(world *sim.World, cfg Config) (*VMM, error) {
 		nextDomain:   1,
 		nextResource: 1,
 	}
-	// Populate the pmap eagerly: the guest owns all of "its" memory from
-	// boot, exactly like a fixed-size VM.
-	for g := 0; g < cfg.GuestPages; g++ {
-		mpn, ok := alloc.Alloc()
-		if !ok {
-			return nil, &ResourceFault{Op: "boot",
-				Detail: "machine memory exhausted populating the pmap"}
-		}
-		v.pmap[g] = mpn
-	}
 	return v, nil
 }
 
@@ -228,7 +214,7 @@ func New(world *sim.World, cfg Config) (*VMM, error) {
 func (v *VMM) World() *sim.World { return v.world }
 
 // GuestPages reports the guest-physical memory size in pages.
-func (v *VMM) GuestPages() int { return len(v.pmap) }
+func (v *VMM) GuestPages() int { return v.guestPages }
 
 // Events returns a copy of the security audit log.
 func (v *VMM) Events() []Event {
@@ -272,10 +258,10 @@ func (v *VMM) logEvent(e Event) {
 // corrupt PTE or physical address, which is a reportable fault, not a
 // simulator bug.
 func (v *VMM) machineOf(gppn mach.GPPN) (mach.MPN, bool) {
-	if int(gppn) >= len(v.pmap) {
+	if gppn >= mach.GPPN(v.guestPages) {
 		return 0, false
 	}
-	return v.pmap[gppn], true
+	return mach.MPN(gppn) + 1, true
 }
 
 // badGPPN builds the fault for an out-of-range guest-physical page and logs
@@ -283,15 +269,15 @@ func (v *VMM) machineOf(gppn mach.GPPN) (mach.MPN, bool) {
 func (v *VMM) badGPPN(op string, gppn mach.GPPN) error {
 	v.logEvent(Event{Kind: EventResourceFault, GPPN: gppn,
 		//overlint:allow hotpathalloc -- resource-fault audit detail, exceptional path
-		Detail: fmt.Sprintf("%s: GPPN %d beyond guest memory (%d pages)", op, gppn, len(v.pmap))})
+		Detail: fmt.Sprintf("%s: GPPN %d beyond guest memory (%d pages)", op, gppn, v.guestPages)})
 	return &ResourceFault{Op: op,
-		Detail: fmt.Sprintf("GPPN %d beyond guest memory (%d pages)", gppn, len(v.pmap))}
+		Detail: fmt.Sprintf("GPPN %d beyond guest memory (%d pages)", gppn, v.guestPages)}
 }
 
 // frame returns the machine bytes backing a guest-physical page. Callers
 // must have bounds-checked gppn (registration and translation both do); a
-// stale registration past the pmap returns nil, which downstream copies and
-// zeroing treat as a no-op.
+// stale registration past guest memory returns nil, which downstream copies
+// and zeroing treat as a no-op.
 func (v *VMM) frame(gppn mach.GPPN) []byte {
 	mpn, ok := v.machineOf(gppn)
 	if !ok {

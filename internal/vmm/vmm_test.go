@@ -80,14 +80,18 @@ func TestBootPmap(t *testing.T) {
 	if r.v.GuestPages() != 64 {
 		t.Fatalf("GuestPages = %d, want 64", r.v.GuestPages())
 	}
-	// Distinct guest pages must be backed by distinct machine frames.
-	seen := map[mach.MPN]bool{}
+	// GPPN g is backed by MPN g+1 (frame 0 stays reserved), and every
+	// frame boots zeroed.
 	for g := 0; g < 64; g++ {
 		mpn, ok := r.v.machineOf(mach.GPPN(g))
-		if !ok || mpn == 0 || seen[mpn] {
-			t.Fatalf("gppn %d maps to bad mpn %d", g, mpn)
+		if !ok || mpn != mach.MPN(g)+1 {
+			t.Fatalf("gppn %d maps to mpn %d (ok=%v), want %d", g, mpn, ok, g+1)
 		}
-		seen[mpn] = true
+		for i, b := range r.v.mem.Page(mpn) {
+			if b != 0 {
+				t.Fatalf("gppn %d byte %d = %#x at boot, want 0", g, i, b)
+			}
+		}
 	}
 	if _, ok := r.v.machineOf(64); ok {
 		t.Fatal("machineOf accepted a GPPN beyond guest memory")

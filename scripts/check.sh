@@ -92,9 +92,10 @@ echo "== shard determinism"
 # which must also render through overprof), "metrics" (the attributed
 # metrics export), "trace" (the Chrome trace export).
 #   suite      the quick suite (E1-E14, E16, E17); its serial runs are the
-#              VCPUs=1 goldens checked below, so writing metrics must not
-#              change a table. It covers E16's migration sweep, whose
-#              capture points and transfer faults derive from (seed, probe).
+#              VCPUs=1 goldens checked below, so writing metrics and the
+#              profile must not change a table. It covers E16's migration
+#              sweep, whose capture points and transfer faults derive from
+#              (seed, probe), and every experiment's profile export.
 #   vcpus4     the 4-vCPU machine: the seeded interleaving is its only
 #              schedule source
 #   fault      E13: the injected fault schedule is part of the machine;
@@ -139,7 +140,7 @@ while IFS='|' read -r gate exps seeds flags artifacts; do
     done
     echo "$gate: seeds $seeds shard-independent"
 done <<'ROWS'
-suite||1 42||metrics
+suite||1 42||metrics profile
 vcpus4||1 42|-vcpus 4|
 fault|E13|3 11||trace
 profile|E2|3 11||profile
